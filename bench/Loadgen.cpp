@@ -245,6 +245,12 @@ void saturationConn(const std::string &Socket, const LoadTenant &T,
   std::string Err;
   daemon::DaemonClient::AttachInfo Info;
   if (!C.connect(Socket, Err) || !C.attach(T.Name, Info, Err)) {
+    // A session refused by the server's session cap is admission
+    // control answering, like a shed request: busy, not dead.
+    if (C.lastRpcShed()) {
+      ++R.Shed;
+      return;
+    }
     R.Failed = true;
     R.Error = Err;
     return;

@@ -17,7 +17,6 @@
 #include "serialize/ModelIO.h"
 #include "streams/WorkloadStream.h"
 #include "support/Cost.h"
-#include "support/SimdDispatch.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
 
@@ -494,10 +493,10 @@ static ServePhase measureCold(runtime::PredictionService &Service,
 /// Decision-classification phases with the feature memo warm AND
 /// complete: every pass drops only the cached decisions -- outside the
 /// timed region, like measureCold's teardown -- so each timed batch
-/// re-classifies every input from memoized features, through the
-/// dispatched SIMD lanes or (with \p LaneServing off) the frozen scalar
-/// compiled path. The scalar-vs-SIMD ratio of this phase at the pool's
-/// thread count is the number BENCH_serve.json pins.
+/// re-classifies every input from memoized features, through the SIMD
+/// lanes or (with \p LaneServing off) the frozen scalar compiled path.
+/// The scalar-vs-SIMD ratio of this phase at the pool's thread count is
+/// the number BENCH_serve.json pins.
 static ServePhase measureDecide(runtime::PredictionService &Service,
                                 const std::vector<size_t> &Batch,
                                 support::ThreadPool *Pool, double Seconds,
@@ -569,12 +568,11 @@ static ServePhase measureClassifyCompiled(
 }
 
 /// Lane twin of measureClassifyCompiled: the same rows from the same
-/// recorded feature table, classified a lane at a time through the
-/// dispatched engine's classifyProductionBlock. Against the scalar
-/// compiled phase this is the pure kernel ratio, with feature plumbing
-/// and the decision cache held constant.
+/// recorded feature table, classified a lane at a time through
+/// classifyProductionBlock. Against the scalar compiled phase this is
+/// the pure kernel ratio, with feature plumbing and the decision cache
+/// held constant.
 static ServePhase measureClassifyLanes(const runtime::CompiledModel &Compiled,
-                                       const runtime::LaneEngine &Engine,
                                        const linalg::Matrix &Features,
                                        const std::vector<size_t> &Batch,
                                        double Seconds) {
@@ -582,8 +580,8 @@ static ServePhase measureClassifyLanes(const runtime::CompiledModel &Compiled,
   std::vector<double> Latencies;
   runtime::CompiledModel::Scratch S = Compiled.makeScratch();
   const std::vector<uint32_t> &Reads = Compiled.productionReads();
-  const unsigned W = Engine.Width;
-  unsigned Labels[runtime::kMaxLaneWidth];
+  constexpr unsigned W = runtime::kLaneWidth;
+  unsigned Labels[W];
   auto Pass = [&]() {
     for (size_t Base = 0; Base < Batch.size(); Base += W) {
       unsigned Count =
@@ -593,7 +591,7 @@ static ServePhase measureClassifyLanes(const runtime::CompiledModel &Compiled,
         for (uint32_t F : Reads)
           S.LaneBlock[static_cast<size_t>(F) * W + L] = Features.at(Row, F);
       }
-      Compiled.classifyProductionBlock(Engine, S, Count, Labels);
+      Compiled.classifyProductionBlock(S, Count, Labels);
     }
   };
   // Untimed warm-up pass (see measureCompiled).
@@ -826,8 +824,7 @@ static int serveOneModel(const DriverOptions &Opts, const std::string &Path,
   ServePhase ClassifyCompiled = measureClassifyCompiled(
       Service.compiled(), Model.System.L1.Features, Batch, Seconds);
   ServePhase ClassifyLanes = measureClassifyLanes(
-      Service.compiled(), runtime::laneEngine(Service.simdTier()),
-      Model.System.L1.Features, Batch, Seconds);
+      Service.compiled(), Model.System.L1.Features, Batch, Seconds);
   ServePhase ClassifyInterpreted = measureClassifyInterpreted(
       *Model.System.L2.Production, Model.System.L1.Features,
       Model.System.L1.ExtractCosts, Batch, Seconds);
@@ -884,11 +881,11 @@ static int serveOneModel(const DriverOptions &Opts, const std::string &Path,
           "    }";
   std::fprintf(stderr,
                "[serve] %-12s simd/scalar %.2fx single, %.2fx pooled "
-               "(%s lanes)\n",
+               "(width-%u lanes)\n",
                Model.Meta.Benchmark.c_str(),
                speedupOf(DecideSimdSingle, DecideScalarSingle),
                speedupOf(DecideSimdThreads, DecideScalarThreads),
-               support::simdTierName(Service.simdTier()));
+               runtime::kLaneWidth);
   return 0;
 }
 
@@ -900,8 +897,6 @@ int benchharness::runServe(const DriverOptions &Opts) {
     return 1;
   }
   unsigned Threads = Opts.Pool ? Opts.Pool->numThreads() : 1;
-  const runtime::LaneEngine &Active =
-      runtime::laneEngine(support::activeSimdTier());
 
   std::string Json =
       std::string("{\n") +
@@ -910,8 +905,8 @@ int benchharness::runServe(const DriverOptions &Opts) {
       "  \"batch\": " + std::to_string(std::max(1u, Opts.Batch)) + ",\n" +
       "  \"seconds_per_phase\": " +
       jsonNumber(std::max(0.01, Opts.Seconds)) + ",\n" +
-      "  \"simd_tier\": \"" + support::simdTierName(Active.Tier) + "\",\n" +
-      "  \"simd_lane_width\": " + std::to_string(Active.Width) + ",\n" +
+      "  \"simd_lane_width\": " + std::to_string(runtime::kLaneWidth) +
+      ",\n" +
       "  \"models\": [\n";
   bool AllMatch = true;
   for (size_t I = 0; I != Models.size(); ++I) {

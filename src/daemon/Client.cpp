@@ -14,6 +14,7 @@
 #include <cstring>
 #include <thread>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -98,11 +99,24 @@ void DaemonClient::close() {
 bool DaemonClient::roundTrip(const std::string &Payload, Message &Reply,
                              std::string &Err) {
   TransportFailed = true;
+  Shed = false;
   if (Fd < 0) {
     Err = "not connected";
     return false;
   }
   if (writeFrame(Fd, Payload) != FrameStatus::Ok) {
+    // A session refused at accept (the server's session cap) is answered
+    // with one unsolicited Shed frame and closed, possibly before this
+    // request could be written. That refusal is already waiting: read it
+    // rather than report a busy server as gone.
+    pollfd P{Fd, POLLIN, 0};
+    std::string In;
+    if (::poll(&P, 1, 0) == 1 && readFrame(Fd, In) == FrameStatus::Ok &&
+        decodeMessage(In, Reply) && Reply.Type == MsgType::Shed) {
+      TransportFailed = false;
+      Shed = true;
+      return true;
+    }
     Err = "request write failed (server gone?)";
     return false;
   }
@@ -118,6 +132,7 @@ bool DaemonClient::roundTrip(const std::string &Payload, Message &Reply,
     return false;
   }
   TransportFailed = false;
+  Shed = Reply.Type == MsgType::Shed;
   return true;
 }
 

@@ -122,6 +122,11 @@ public:
   /// would just repeat it.
   bool lastRpcTransportFailed() const { return TransportFailed; }
 
+  /// True when the most recent RPC was answered with Shed -- admission
+  /// control: the session cap on Hello, the queue bound on Predict. The
+  /// server is busy, not dead.
+  bool lastRpcShed() const { return Shed; }
+
 private:
   /// One request frame out, one response frame back, decoded.
   bool roundTrip(const std::string &Payload, Message &Reply,
@@ -130,6 +135,7 @@ private:
   ClientOptions Opts;
   int Fd = -1;
   bool TransportFailed = false;
+  bool Shed = false;
 };
 
 /// Failover policy for a FailoverClient.

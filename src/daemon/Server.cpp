@@ -465,7 +465,7 @@ void Server::serveBatch(std::vector<RequestPtr> &Batch) {
           for (size_t In : AllInputs)
             Decisions.push_back(T->Service->serve(In));
         } else {
-          Decisions = T->Service->decideBatch(AllInputs, nullptr);
+          Decisions = T->Service->decideBatch(AllInputs);
         }
       }
       size_t Cursor = 0;

@@ -20,8 +20,8 @@
 /// backlog) and collapses to zero when idle (no added latency), capped
 /// at BatchMax requests. A gathered batch is grouped by tenant and each
 /// group is served under that tenant's ServeMutex with
-/// AdaptiveService::decideBatch -- the same input-id-sharded arena walk
-/// as PredictionService::decideBatch, so daemon answers are
+/// AdaptiveService::decideBatch -- the same compiled arena walk as
+/// PredictionService::decideBatch, so daemon answers are
 /// choice-identical to an in-process replay (the loadgen harness and
 /// the daemon tests assert exactly that).
 ///

@@ -185,7 +185,7 @@ bool Listener::open(const Endpoint &E, std::string &Err) {
     }
     Bound.Port = boundPort(Fd); // resolve an ephemeral-port request
   }
-  if (::listen(Fd, 64) < 0) {
+  if (::listen(Fd, SOMAXCONN) < 0) {
     Err = std::string("listen(): ") + std::strerror(errno);
     close();
     return false;
@@ -253,13 +253,25 @@ int connectEndpoint(const Endpoint &E, double TimeoutSeconds,
     if (Flags < 0 || ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) < 0)
       return Abort(std::string("fcntl(O_NONBLOCK): ") + std::strerror(errno));
   }
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), AddrLen) < 0) {
+  const auto Deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(TimeoutSeconds);
+  int Rc = -1;
+  // A Unix listener with a full backlog refuses a nonblocking connect
+  // with EAGAIN (TCP queues the attempt and answers EINPROGRESS). The
+  // server is busy, not dead: back off and retry inside the deadline.
+  while ((Rc = ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
+                         AddrLen)) < 0 &&
+         TimeoutSeconds > 0 && errno == EAGAIN &&
+         E.K == Endpoint::Kind::Unix) {
+    if (std::chrono::steady_clock::now() >= Deadline)
+      return Abort("connect('" + Name + "'): timed out (backlog full)");
+    ::poll(nullptr, 0, 1);
+  }
+  if (Rc < 0) {
     if (TimeoutSeconds <= 0 || errno != EINPROGRESS)
       return Abort("connect('" + Name + "'): " + std::strerror(errno));
     // EINTR recomputes the remaining budget and retries; a supervisor's
     // signals must not surface as spurious connect failures.
-    auto Deadline = std::chrono::steady_clock::now() +
-                    std::chrono::duration<double>(TimeoutSeconds);
     for (;;) {
       auto Now = std::chrono::steady_clock::now();
       if (Now >= Deadline)

@@ -62,8 +62,9 @@ public:
   Listener(Listener &&O) noexcept;
   Listener &operator=(Listener &&O) noexcept;
 
-  /// socket/bind/listen. TCP sets SO_REUSEADDR and resolves an ephemeral
-  /// port request, so bound() always carries the real port.
+  /// socket/bind/listen (backlog SOMAXCONN). TCP sets SO_REUSEADDR and
+  /// resolves an ephemeral port request, so bound() always carries the
+  /// real port.
   bool open(const Endpoint &E, std::string &Err);
 
   /// Accepts one pending connection: returns a connected CLOEXEC fd, or
@@ -84,8 +85,9 @@ private:
 };
 
 /// Connects to \p E with a wall-clock timeout: nonblocking connect plus
-/// poll, EINTR-safe, CLOEXEC, TCP_NODELAY for TCP. Returns a connected
-/// blocking fd, or -1 with \p Err set.
+/// poll, EINTR-safe, CLOEXEC, TCP_NODELAY for TCP. A Unix listener with
+/// a full backlog is retried until the timeout rather than failed.
+/// Returns a connected blocking fd, or -1 with \p Err set.
 int connectEndpoint(const Endpoint &E, double TimeoutSeconds,
                     std::string &Err);
 

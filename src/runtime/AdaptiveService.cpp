@@ -208,33 +208,15 @@ AdaptiveService::Decision AdaptiveService::serve(size_t Input) {
 }
 
 std::vector<AdaptiveService::Decision>
-AdaptiveService::decideBatch(const std::vector<size_t> &Inputs,
-                             support::ThreadPool *Pool) {
+AdaptiveService::decideBatch(const std::vector<size_t> &Inputs) {
   assert(Ok && "decideBatch() on a non-ready AdaptiveService");
   // One snapshot for the whole batch: every decision below comes from the
   // same epoch even if swapModel() lands mid-batch on another thread.
   EpochPtr Ep = currentEpoch();
   std::vector<Decision> Out(Inputs.size());
-  unsigned Shards = Pool ? std::max(1u, Pool->numThreads()) : 1u;
-  if (Shards <= 1 || Inputs.size() <= 1) {
-    CompiledModel::Scratch &S = scratchFor(*Ep);
-    for (size_t I = 0; I != Inputs.size(); ++I)
-      Out[I] = decideWith(*Ep, Inputs[I], S);
-  } else {
-    // Shard by input id (PredictionService's lock-free memo-ownership
-    // rule): every occurrence of one input is served by exactly one
-    // worker, so decisions cannot depend on the shard count.
-    std::vector<CompiledModel::Scratch> Scratches;
-    Scratches.reserve(Shards);
-    for (unsigned S = 0; S != Shards; ++S)
-      Scratches.push_back(Ep->Compiled.makeScratch());
-    Pool->parallelFor(0, Shards, [&](size_t Shard) {
-      CompiledModel::Scratch &S = Scratches[Shard];
-      for (size_t I = 0; I != Inputs.size(); ++I)
-        if (Inputs[I] % Shards == Shard)
-          Out[I] = decideWith(*Ep, Inputs[I], S);
-    });
-  }
+  CompiledModel::Scratch &S = scratchFor(*Ep);
+  for (size_t I = 0; I != Inputs.size(); ++I)
+    Out[I] = decideWith(*Ep, Inputs[I], S);
   for (Decision &D : Out) {
     D.Hold = Ep;
     recordTotals(D);

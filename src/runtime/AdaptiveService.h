@@ -27,8 +27,7 @@
 /// each candidate.
 ///
 /// Threading contract: decide()/decideBatch()/serve() are driven by one
-/// serving thread (decideBatch may internally shard across a pool, as
-/// PredictionService does); swapModel() may be called concurrently from
+/// serving thread; swapModel() may be called concurrently from
 /// any other thread. A batch reads the epoch pointer exactly once, so
 /// every decision inside one batch comes from the same epoch.
 ///
@@ -71,7 +70,7 @@ struct AdaptiveServiceOptions {
   /// Fewest reservoir entries (and, /2, distinct inputs) worth retraining
   /// on; drift flags before that only rebase the monitor.
   size_t MinRetrainInputs = 16;
-  /// Parallelises shadow retraining (and decideBatch when forwarded).
+  /// Parallelises shadow retraining.
   support::ThreadPool *Pool = nullptr;
 };
 
@@ -164,11 +163,9 @@ public:
   /// Decide without observing: no monitor, no reservoir, no adaptation.
   Decision decide(size_t Input);
 
-  /// Batched decide (no observation), sharded by input id exactly like
-  /// PredictionService::decideBatch: decisions are identical for every
-  /// thread count, and the whole batch is served by one epoch snapshot.
-  std::vector<Decision> decideBatch(const std::vector<size_t> &Inputs,
-                                    support::ThreadPool *Pool = nullptr);
+  /// Batched decide (no observation) on the serving thread: the whole
+  /// batch is served by one epoch snapshot.
+  std::vector<Decision> decideBatch(const std::vector<size_t> &Inputs);
 
   /// Runs the drift response now: retrain on the reservoir, shadow-score
   /// candidate vs champion on the same traffic, swap when strictly
@@ -225,8 +222,7 @@ private:
   /// Extracts (via the memo) every flat feature of \p Input; returns the
   /// memo row. Extraction newly paid here is charged to MonitorCost.
   const double *fullFeatures(size_t Input);
-  /// MainScratch sized for \p Ep (epochs differ in class counts); the
-  /// serving-thread counterpart of decideBatch's per-shard scratches.
+  /// MainScratch sized for \p Ep (epochs differ in class counts).
   CompiledModel::Scratch &scratchFor(const ModelEpoch &Ep);
   /// Serving-thread monitor upkeep: when \p Ep is not the epoch the
   /// monitor was rebased to (an external swapModel() landed), rebase to

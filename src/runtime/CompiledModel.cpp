@@ -97,15 +97,13 @@ CompiledModel::Scratch CompiledModel::makeScratch() const {
   unsigned Dim = std::max({NumFlat, Production.Dim, Baseline.Dim, 1u});
   S.LogPost.assign(Classes, 0.0);
   S.Row.assign(Dim, 0.0);
-  // Lane-major SIMD working memory, sized for the widest engine so one
-  // Scratch serves every dispatch tier. Sections are multiples of a
-  // cache line (8 doubles / 16 int32s), keeping every laneView pointer
-  // 64-byte aligned.
+  // Lane-major working memory; see Scratch::laneView for the carve.
   S.LaneClasses = Classes;
   S.LaneDim = Dim;
-  S.LaneBlock.assign(static_cast<size_t>(Dim) * kMaxLaneWidth, 0.0);
-  S.LaneF64.assign(
-      (static_cast<size_t>(Classes) + Dim + 3) * kMaxLaneWidth, 0.0);
-  S.LaneI32.assign(5 * 2 * static_cast<size_t>(kMaxLaneWidth), 0);
+  S.LaneBlock.assign(static_cast<size_t>(Dim) * kLaneWidth, 0.0);
+  S.LaneF64.assign((static_cast<size_t>(Classes) + Dim + 3) *
+                       Scratch::kLaneStrideF64,
+                   0.0);
+  S.LaneI32.assign(5 * static_cast<size_t>(Scratch::kLaneStrideI32), 0);
   return S;
 }

@@ -61,10 +61,10 @@ public:
     /// One-level dense feature row (>= the flat feature count).
     std::vector<double> Row;
 
-    /// Lane-major staging block for the SIMD engines: feature F of lane
-    /// element I sits at LaneBlock[F * Width + I] for the serving
-    /// engine's Width. Sized Dim * kMaxLaneWidth (enough for any tier)
-    /// and zero-initialized so idle lanes always read defined values.
+    /// Lane-major staging block for the lane kernel: feature F of lane
+    /// element I sits at LaneBlock[F * kLaneWidth + I]. Sized
+    /// Dim * kLaneWidth and zero-initialized so idle lanes always read
+    /// defined values.
     support::CacheAlignedVector<double> LaneBlock;
     /// Backing store carved into LaneScratchView sections; every
     /// section starts on a 64-byte boundary.
@@ -74,12 +74,18 @@ public:
     unsigned LaneClasses = 0;
     unsigned LaneDim = 0;
 
-    /// Carves the lane working-memory view out of LaneF64/LaneI32. The
-    /// carve is tier-independent: sections are sized for kMaxLaneWidth,
-    /// and narrower engines simply use a shorter stride within them.
+    /// Per-lane strides of the carve: one cache line of doubles / of
+    /// int32s, so every section stays 64-byte aligned.
+    static constexpr unsigned kLaneStrideF64 =
+        support::kCacheLineBytes / sizeof(double);
+    static constexpr unsigned kLaneStrideI32 =
+        support::kCacheLineBytes / sizeof(int32_t);
+    static_assert(kLaneWidth <= kLaneStrideF64, "lane wider than a line");
+
+    /// Carves the lane working-memory view out of LaneF64/LaneI32.
     LaneScratchView laneView() {
-      constexpr unsigned W = kMaxLaneWidth;
-      constexpr unsigned WI32 = 2 * kMaxLaneWidth; // 64B of int32 each
+      constexpr unsigned W = kLaneStrideF64;
+      constexpr unsigned WI32 = kLaneStrideI32;
       LaneScratchView V;
       double *F = LaneF64.data();
       V.LogPost = F;
@@ -179,35 +185,22 @@ public:
     return ProductionReads;
   }
 
-  /// Classifies \p Count (<= E.Width) inputs staged lane-major in
-  /// S.LaneBlock (stride E.Width) through the production classifier
-  /// with lane engine \p E, writing labels to Out[0..Count). Decisions
-  /// are bit-identical to decideProduction on the same feature values.
-  void classifyProductionBlock(const LaneEngine &E, Scratch &S,
-                               unsigned Count, unsigned *Out) const {
+  /// Classifies \p Count (<= kLaneWidth) inputs staged lane-major in
+  /// S.LaneBlock through the production classifier, writing labels to
+  /// Out[0..Count). Decisions are bit-identical to decideProduction on
+  /// the same feature values.
+  void classifyProductionBlock(Scratch &S, unsigned Count,
+                               unsigned *Out) const {
     assert(Ready && "classify on a non-ready CompiledModel");
-    classifyBlock(Production, E, S, Count, Out);
-  }
-
-  /// Same, through the one-level baseline.
-  void classifyBaselineBlock(const LaneEngine &E, Scratch &S,
-                             unsigned Count, unsigned *Out) const {
-    assert(Ready && HasOneLevel && "no compiled one-level baseline");
-    classifyBlock(Baseline, E, S, Count, Out);
+    assert(Count >= 1 && Count <= kLaneWidth && "lane count out of range");
+    assert(S.LaneBlock.size() >=
+               static_cast<size_t>(kLaneWidth) * (S.LaneDim ? S.LaneDim : 1) &&
+           "lane scratch from a different model");
+    LaneModelView M{Arena.F64.data(), Arena.I32.data(), &Production};
+    classifyLaneBlock(M, S.LaneBlock.data(), Count, Out, S.laneView());
   }
 
 private:
-  void classifyBlock(const ml::CompiledClassifier &C, const LaneEngine &E,
-                     Scratch &S, unsigned Count, unsigned *Out) const {
-    assert(Count >= 1 && Count <= E.Width && "lane count out of range");
-    assert(S.LaneBlock.size() >= static_cast<size_t>(E.Width) *
-                                     (S.LaneDim ? S.LaneDim : 1) &&
-           "lane scratch from a different model");
-    LaneModelView M{Arena.F64.data(), Arena.I32.data(), &C};
-    LaneScratchView V = S.laneView();
-    E.ClassifyBlock(M, S.LaneBlock.data(), Count, Out, V);
-  }
-
   /// The single dispatch point: one switch on the kind tag, then pure
   /// array walks. Each case replays its interpreter counterpart
   /// operation-for-operation (see the parity notes inline) so decisions

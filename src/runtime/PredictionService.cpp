@@ -74,11 +74,6 @@ void PredictionService::clearDecisions() {
     E.Decided[0] = E.Decided[1] = -1;
 }
 
-void PredictionService::setSimdTier(support::SimdTier Tier) {
-  Lanes = &laneEngine(
-      support::clampSimdTier(Tier, support::detectSimdTier()));
-}
-
 void PredictionService::warmFeatureMemo(size_t Input) {
   assert(ready() && "warmFeatureMemo() before loadFile()+bind()");
   assert(Input < Memo.size() && "input out of range");
@@ -180,7 +175,7 @@ void PredictionService::decideShard(const std::vector<size_t> &Inputs,
                                     unsigned Shards, unsigned Shard,
                                     CompiledModel::Scratch &S) {
   const unsigned NumFlat = Index->numFlat();
-  const unsigned W = Lanes->Width;
+  constexpr unsigned W = kLaneWidth;
   // A OneLevel production classifier reads every flat feature in
   // [0, Dim) unconditionally, so even cold inputs are lane-eligible:
   // pre-extracting that range IS the scalar extraction sequence. Tree /
@@ -195,7 +190,7 @@ void PredictionService::decideShard(const std::vector<size_t> &Inputs,
     size_t Input;
     size_t Pos;
   };
-  PendingLane Lane[kMaxLaneWidth];
+  PendingLane Lane[kLaneWidth];
   unsigned Queued = 0;
 
   auto flushLane = [&] {
@@ -232,11 +227,11 @@ void PredictionService::decideShard(const std::vector<size_t> &Inputs,
       for (uint32_t F : Reads)
         Block[static_cast<size_t>(F) * W + L] = E.Values[F];
     }
-    unsigned Labels[kMaxLaneWidth];
-    Compiled.classifyProductionBlock(*Lanes, S, Queued, Labels);
+    unsigned Labels[kLaneWidth];
+    Compiled.classifyProductionBlock(S, Queued, Labels);
     for (unsigned L = 0; L != Queued; ++L) {
       assert(Labels[L] < Model.System.L1.Landmarks.size() &&
-             "lane engine predicted a missing landmark");
+             "lane kernel predicted a missing landmark");
       Decision &D = Out[Lane[L].Pos];
       D.Landmark = Labels[L];
       D.Config = &Model.System.L1.Landmarks[Labels[L]];
@@ -293,13 +288,11 @@ PredictionService::decideBatch(const std::vector<size_t> &Inputs,
   // the scalar arithmetic independently), so lane serving composes with
   // any shard count; single-input batches skip straight to scalar.
   const bool UseLanes = LaneServing && Inputs.size() > 1;
-  // The lane engine never oversubscribes the host: sharding across more
-  // workers than hardware threads only adds wake/contend latency (they
-  // cannot run concurrently anyway). Decisions are shard-count
-  // invariant by design, so the clamp is unobservable except as
-  // throughput. The scalar path keeps its historical sharding -- it is
-  // the frozen baseline `pbt-bench serve` measures the engine against.
-  if (UseLanes && Shards > 1) {
+  // Never oversubscribe the host: sharding across more workers than
+  // hardware threads only adds wake/contend latency (they cannot run
+  // concurrently anyway). Decisions are shard-count invariant by
+  // design, so the clamp is unobservable except as throughput.
+  if (Shards > 1) {
     // Queried once: hardware_concurrency is a sysconf call, far too
     // slow for a per-batch hot path.
     static const unsigned HW = std::thread::hardware_concurrency();

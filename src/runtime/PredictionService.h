@@ -112,26 +112,18 @@ public:
   /// When lane serving is enabled (the default), each shard gathers
   /// lane-eligible inputs -- memo-complete ones, plus every input when
   /// the production classifier is the all-features one-level kind --
-  /// into SIMD lanes of laneWidth() inputs and classifies them through
-  /// the dispatched LaneEngine. Lane decisions are bit-identical (in
-  /// landmark AND per-call cost) to the scalar compiled path: the
-  /// engines replay the scalar arithmetic per lane element, and cold
-  /// lane elements extract exactly the features the scalar path would,
-  /// in the same order.
+  /// into lanes of kLaneWidth inputs and classifies them through
+  /// classifyLaneBlock. Lane decisions are bit-identical (in landmark
+  /// AND per-call cost) to the scalar compiled path: the kernel replays
+  /// the scalar arithmetic per lane element, and cold lane elements
+  /// extract exactly the features the scalar path would, in the same
+  /// order.
   std::vector<Decision> decideBatch(const std::vector<size_t> &Inputs,
                                     support::ThreadPool *Pool = nullptr);
 
-  /// Selects the SIMD dispatch tier used by lane serving. Requests
-  /// above the host's detected tier clamp down (never dispatch an ISA
-  /// the host lacks). Fresh services start at support::activeSimdTier()
-  /// -- detection filtered through the PBT_SIMD override.
-  void setSimdTier(support::SimdTier Tier);
-  support::SimdTier simdTier() const { return Lanes->Tier; }
-  unsigned laneWidth() const { return Lanes->Width; }
-
   /// Turns lane-batched serving off/on; when off, decideBatch runs the
   /// scalar compiled path for every input. That scalar path is the
-  /// frozen oracle the SIMD parity wall compares against.
+  /// frozen oracle the lane parity wall compares against.
   void setLaneServing(bool Enabled) { LaneServing = Enabled; }
   bool laneServing() const { return LaneServing; }
 
@@ -215,9 +207,6 @@ private:
   std::unordered_map<size_t, InterpMemoEntry> InterpMemo;
   /// Working memory for single-input calls (batch shards make their own).
   CompiledModel::Scratch MainScratch;
-  /// The runtime-dispatched SIMD engine lane serving classifies with;
-  /// always a host-executable tier (setSimdTier clamps).
-  const LaneEngine *Lanes = &laneEngine(support::activeSimdTier());
   bool LaneServing = true;
   Stats Totals;
 };

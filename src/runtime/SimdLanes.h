@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The vectorized half of the compiled serving path: a LaneEngine
-/// classifies a *lane* of 4-8 inputs at a time over the pointer-free
-/// CompiledModel arena. Inputs sit lane-major in a feature block
-/// (Block[Flat * Width + lane]), and the kernels vectorize ACROSS the
-/// lane -- decision trees walk level-synchronously (gather each lane's
-/// node, compare, blend children, retired lanes self-loop on their
-/// leaf), the flattened-Bayes log-posterior accumulates per class for
-/// all lanes with per-lane early-exit retirement, and the one-level
+/// The vectorized half of the compiled serving path: classifyLaneBlock
+/// classifies a *lane* of kLaneWidth inputs at a time over the
+/// pointer-free CompiledModel arena. Inputs sit lane-major in a feature
+/// block (Block[Flat * kLaneWidth + lane]), and the kernel vectorizes
+/// ACROSS the lane -- decision trees walk level-synchronously (gather
+/// each lane's node, compare, blend children, retired lanes self-loop on
+/// their leaf), the flattened-Bayes log-posterior accumulates per class
+/// for all lanes with per-lane early-exit retirement, and the one-level
 /// baseline fuses normalizer scale/offset and centroid distances across
 /// the lane.
 ///
@@ -23,13 +23,12 @@
 /// (std::exp in the Bayes early-exit) stay scalar per element. A lane
 /// decision is therefore bit-identical to the scalar compiled decision,
 /// which is in turn bit-identical to the interpreted classifier -- the
-/// parity fuzzer pins all tiers against that oracle.
+/// parity fuzzer pins the lane path against that oracle.
 ///
-/// Three engines exist, one per TU compiled with that ISA's flags
-/// (scalar baseline / SSE4.2 / AVX2); laneEngine() dispatches on the
-/// support::SimdTier detected at load (overridable via PBT_SIMD).
-/// Engines above the host's detected tier exist but must not be
-/// executed; availableLaneEngines() lists the safe ones.
+/// There is one kernel, written with portable GCC/Clang vector
+/// extensions and compiled for the base target: a same-build A/B found
+/// wider ISA-specific lanes no faster than width 4, while lane batching
+/// itself beats the scalar compiled path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,21 +36,18 @@
 #define PBT_RUNTIME_SIMDLANES_H
 
 #include "ml/CompiledArena.h"
-#include "support/SimdDispatch.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace pbt {
 namespace runtime {
 
-/// The widest lane any engine uses; scratch is sized for this so one
-/// Scratch serves every tier.
-constexpr unsigned kMaxLaneWidth = 8;
+/// Inputs classified per lane block.
+constexpr unsigned kLaneWidth = 4;
 
 /// Raw pointer view of one lowered classifier inside its arena -- what
-/// the per-ISA kernel TUs consume (they must not depend on
-/// runtime/CompiledModel.h, which sits above them).
+/// the kernel TU consumes (it must not depend on runtime/CompiledModel.h,
+/// which sits above it).
 struct LaneModelView {
   const double *F64 = nullptr;
   const int32_t *I32 = nullptr;
@@ -59,12 +55,11 @@ struct LaneModelView {
 };
 
 /// Lane-major working memory carved out of CompiledModel::Scratch. All
-/// pointers are 64-byte aligned; per-lane arrays hold kMaxLaneWidth
-/// entries, blocks are indexed [row * Width + lane] with the engine's
-/// own Width.
+/// pointers are 64-byte aligned; per-lane arrays hold kLaneWidth
+/// entries, blocks are indexed [row * kLaneWidth + lane].
 struct LaneScratchView {
-  double *LogPost = nullptr; ///< Classes * Width accumulator block
-  double *Row = nullptr;     ///< Dim * Width normalized-row block
+  double *LogPost = nullptr; ///< Classes * kLaneWidth accumulator block
+  double *Row = nullptr;     ///< Dim * kLaneWidth normalized-row block
   double *V = nullptr;       ///< lane: staged feature values
   double *T = nullptr;       ///< lane: staged thresholds
   double *MaxLog = nullptr;  ///< lane: running Bayes maxima
@@ -75,28 +70,14 @@ struct LaneScratchView {
   int32_t *State = nullptr;  ///< lane: 1 = still classifying
 };
 
-/// One runtime-dispatched engine: an ISA tier, its lane width, and the
-/// block-classification kernel.
-struct LaneEngine {
-  support::SimdTier Tier = support::SimdTier::Scalar;
-  unsigned Width = 0;
-  /// Classifies \p Count (<= Width) inputs whose flat features sit
-  /// lane-major in \p Block (Block[F * Width + lane]), writing each
-  /// lane's chosen label to Out[lane]. Idle lanes (>= Count) are
-  /// computed and discarded; Block rows must span every flat feature
-  /// the classifier can touch.
-  void (*ClassifyBlock)(const LaneModelView &M, const double *Block,
-                        unsigned Count, unsigned *Out,
-                        const LaneScratchView &S) = nullptr;
-};
-
-/// The engine lowered for \p Tier. Always returns a valid engine; the
-/// caller is responsible for not executing a tier above
-/// support::detectSimdTier() (use availableLaneEngines()).
-const LaneEngine &laneEngine(support::SimdTier Tier);
-
-/// Engines safe to execute on this host, Scalar first.
-std::vector<const LaneEngine *> availableLaneEngines();
+/// Classifies \p Count (1..kLaneWidth) inputs whose flat features sit
+/// lane-major in \p Block (Block[F * kLaneWidth + lane]), writing each
+/// lane's chosen label to Out[lane]. Idle lanes (>= Count) are computed
+/// and discarded; Block rows must span every flat feature the classifier
+/// can touch.
+void classifyLaneBlock(const LaneModelView &M, const double *Block,
+                       unsigned Count, unsigned *Out,
+                       const LaneScratchView &S);
 
 } // namespace runtime
 } // namespace pbt

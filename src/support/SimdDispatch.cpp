@@ -65,13 +65,3 @@ SimdTier support::activeSimdTier() {
       resolveSimdTier(std::getenv("PBT_SIMD"), detectSimdTier());
   return Active;
 }
-
-std::vector<SimdTier> support::availableSimdTiers() {
-  std::vector<SimdTier> Tiers = {SimdTier::Scalar};
-  SimdTier Best = detectSimdTier();
-  if (Best >= SimdTier::Sse42)
-    Tiers.push_back(SimdTier::Sse42);
-  if (Best >= SimdTier::Avx2)
-    Tiers.push_back(SimdTier::Avx2);
-  return Tiers;
-}

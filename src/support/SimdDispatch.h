@@ -1,18 +1,20 @@
-//===- support/SimdDispatch.h - Runtime ISA tier selection ----------------==//
+//===- support/SimdDispatch.h - Host SIMD tier detection ------------------==//
 //
 // Part of the pbtuner project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime SIMD dispatch for the vectorized serving path. The host's
-/// best usable tier is probed once (CPUID via __builtin_cpu_supports on
+/// Host SIMD tier detection, for labelling measurement records. The
+/// host's best tier is probed once (CPUID via __builtin_cpu_supports on
 /// x86; everything else is Scalar), and the `PBT_SIMD` environment
-/// variable can force a LOWER tier -- `scalar`, `sse42` or `avx2` -- so
-/// tests and CI can pin the dispatch independent of the host. A request
-/// above what the host supports clamps down to the detected tier: the
-/// override exists to exercise fallbacks, never to crash the process
-/// with an illegal instruction.
+/// variable can force a LOWER tier -- `scalar`, `sse42` or `avx2`. A
+/// request above what the host supports clamps down to the detected
+/// tier.
+///
+/// Nothing in serving reads the tier: the lane kernel
+/// (runtime/SimdLanes.h) is one portable build, so the tier and its
+/// override only change the host-tier field that run records carry.
 ///
 /// The tiers order Scalar < Sse42 < Avx2, so "best available" is a
 /// plain max and clamping is a plain min.
@@ -23,7 +25,6 @@
 #define PBT_SUPPORT_SIMDDISPATCH_H
 
 #include <cstdint>
-#include <vector>
 
 namespace pbt {
 namespace support {
@@ -45,8 +46,8 @@ bool parseSimdTier(const char *Text, SimdTier &Out);
 /// The best tier the host can execute, ignoring any override.
 SimdTier detectSimdTier();
 
-/// Pure override policy: the tier to serve with given a requested and a
-/// detected tier (min of the two -- never dispatch above the host).
+/// Pure override policy: the tier to report given a requested and a
+/// detected tier (min of the two -- never above the host).
 inline SimdTier clampSimdTier(SimdTier Requested, SimdTier Detected) {
   return Requested < Detected ? Requested : Detected;
 }
@@ -56,13 +57,9 @@ inline SimdTier clampSimdTier(SimdTier Requested, SimdTier Detected) {
 /// from the environment read so tests can drive it directly.
 SimdTier resolveSimdTier(const char *EnvValue, SimdTier Detected);
 
-/// The process-wide serving tier: detectSimdTier() filtered through the
-/// PBT_SIMD environment variable, computed once and cached.
+/// The process-wide tier: detectSimdTier() filtered through the PBT_SIMD
+/// environment variable, computed once and cached.
 SimdTier activeSimdTier();
-
-/// Every tier valid on this host, Scalar first (the tiers parity suites
-/// must iterate).
-std::vector<SimdTier> availableSimdTiers();
 
 } // namespace support
 } // namespace pbt

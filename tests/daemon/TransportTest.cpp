@@ -1,12 +1,14 @@
 //===- tests/daemon/TransportTest.cpp ----------------------------------------=//
 //
 // The transport layer under the daemon: endpoint-spec parsing, raw
-// Listener/connectEndpoint round-trips over Unix and TCP, the framed
-// protocol served over a TCP listener (choice parity with the
+// Listener/connectEndpoint round-trips over Unix and TCP, a connect to a
+// Unix listener with a full backlog waiting instead of failing, the
+// framed protocol served over a TCP listener (choice parity with the
 // in-process oracle), the Ping/Health liveness probe, the mid-frame
 // read deadline (a stalled peer is dropped, an idle one is not), and
 // the session-thread cap under a connection storm (Shed + close over
-// the cap, capacity restored when a session ends).
+// the cap, read by the client as Shed, capacity restored when a session
+// ends).
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,13 +25,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 using namespace pbt;
@@ -169,6 +174,58 @@ TEST(TransportTest, UnixListenerPrefixedSpecRoundTrip) {
   L.close();
   // close() unlinks the socket path.
   EXPECT_LT(::access(Path.c_str(), F_OK), 0);
+}
+
+TEST(TransportTest, FullUnixBacklogIsBusyNotDead) {
+  // A raw listener with the smallest backlog, filled by nonblocking
+  // connects until the kernel refuses the next one with EAGAIN.
+  std::string Path = freshSocket();
+  Endpoint Spec;
+  std::string Err;
+  ASSERT_TRUE(parseEndpoint("unix:" + Path, Spec, Err)) << Err;
+  int Listen = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(Listen, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
+  ASSERT_EQ(::bind(Listen, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+            0);
+  ASSERT_EQ(::listen(Listen, 0), 0);
+  std::vector<int> Fillers;
+  bool Full = false;
+  while (!Full && Fillers.size() < 64) {
+    int Fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    ASSERT_GE(Fd, 0);
+    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) == 0) {
+      Fillers.push_back(Fd);
+      continue;
+    }
+    Full = errno == EAGAIN;
+    ::close(Fd);
+  }
+  ASSERT_TRUE(Full) << "backlog never filled";
+
+  // The busy listener must not fail the connect: it waits for room.
+  int Client = -1;
+  std::string ClientErr;
+  std::thread Connector(
+      [&] { Client = connectEndpoint(Spec, 5.0, ClientErr); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (size_t I = 0; I != Fillers.size(); ++I) {
+    int Conn = ::accept(Listen, nullptr, nullptr);
+    ASSERT_GE(Conn, 0);
+    ::close(Conn);
+  }
+  Connector.join();
+  ASSERT_GE(Client, 0) << ClientErr;
+  int Conn = ::accept(Listen, nullptr, nullptr);
+  EXPECT_GE(Conn, 0);
+  ::close(Conn);
+  ::close(Client);
+  for (int Fd : Fillers)
+    ::close(Fd);
+  ::close(Listen);
+  ::unlink(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -341,6 +398,30 @@ TEST(TransportTest, ConnectionStormShedsOverSessionCap) {
 //===----------------------------------------------------------------------===//
 // Per-tenant shed/error counters surface in the stats JSON
 //===----------------------------------------------------------------------===//
+
+TEST(TransportTest, SessionCapRefusalIsShedNotTransportFailure) {
+  // Over the session cap a client's Hello is answered with Shed -- also
+  // when the server's accept-refuse-close wins the race against the
+  // request write. A busy server must read as busy, never as gone.
+  daemon::ServerOptions SO;
+  SO.SocketPath = freshSocket();
+  SO.MaxSessions = 1;
+  Harness H(SO);
+  DaemonClient A;
+  std::string Err;
+  DaemonClient::AttachInfo Info;
+  ASSERT_TRUE(A.connect(H.endpoint(), Err) && A.attach("sort1", Info, Err))
+      << Err;
+  for (int I = 0; I < 8; ++I) {
+    DaemonClient C;
+    ASSERT_TRUE(C.connect(H.endpoint(), Err)) << Err;
+    if (I % 2) // let the refusal and close land before the request
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(C.attach("sort1", Info, Err));
+    EXPECT_TRUE(C.lastRpcShed()) << "attempt " << I << ": " << Err;
+    EXPECT_FALSE(C.lastRpcTransportFailed()) << "attempt " << I;
+  }
+}
 
 TEST(TransportTest, PerTenantErrorCounterSurfacesInStatsJson) {
   Harness H;

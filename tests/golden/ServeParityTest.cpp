@@ -12,8 +12,6 @@
 
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/PredictionService.h"
-#include "runtime/SimdLanes.h"
-#include "support/SimdDispatch.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -207,50 +205,45 @@ TEST_P(ServeParityTest, RepeatDecisionsAreCachedAndIdentical) {
 }
 
 TEST_P(ServeParityTest, LaneServingMatchesGoldensOnEveryTier) {
-  // The SIMD serving wall against the committed decisions: every
-  // dispatch tier this host can execute must reproduce the golden
-  // choices through the lane-batched path -- cold, and again re-decided
-  // from a warm feature memo (where lanes serve every model kind) with
-  // duplicated inputs in the batch.
+  // The lane serving wall against the committed decisions: the one lane
+  // kernel must reproduce the golden choices through the lane-batched
+  // path -- cold, and again re-decided from a warm feature memo (where
+  // lanes serve every model kind) with duplicated inputs in the batch.
+  // (The name predates the single kernel; it is kept so the test's
+  // history stays traceable.)
   std::string Name = GetParam();
   std::vector<std::pair<size_t, unsigned>> Expected =
       readChoices(goldenPath(Name + ".choices.csv"));
   ASSERT_FALSE(Expected.empty());
 
-  for (const runtime::LaneEngine *E : runtime::availableLaneEngines()) {
-    Loaded L;
-    loadGolden(Name, L);
-    L.Service.setSimdTier(E->Tier);
-    ASSERT_EQ(L.Service.simdTier(), E->Tier);
-    ASSERT_EQ(L.Service.laneWidth(), E->Width);
+  Loaded L;
+  loadGolden(Name, L);
+  ASSERT_TRUE(L.Service.laneServing());
 
-    std::vector<size_t> Inputs;
-    for (const auto &Choice : Expected)
-      Inputs.push_back(Choice.first);
-    std::vector<runtime::PredictionService::Decision> Cold =
-        L.Service.decideBatch(Inputs);
-    ASSERT_EQ(Cold.size(), Expected.size());
-    for (size_t I = 0; I != Expected.size(); ++I)
-      EXPECT_EQ(Cold[I].Landmark, Expected[I].second)
-          << Name << " tier " << support::simdTierName(E->Tier)
-          << " input " << Inputs[I] << ": cold lane decision drifted";
+  std::vector<size_t> Inputs;
+  for (const auto &Choice : Expected)
+    Inputs.push_back(Choice.first);
+  std::vector<runtime::PredictionService::Decision> Cold =
+      L.Service.decideBatch(Inputs);
+  ASSERT_EQ(Cold.size(), Expected.size());
+  for (size_t I = 0; I != Expected.size(); ++I)
+    EXPECT_EQ(Cold[I].Landmark, Expected[I].second)
+        << Name << " input " << Inputs[I] << ": cold lane decision drifted";
 
-    // Re-decide from the warm memo: feature values stay cached, so the
-    // whole batch is lane-eligible; duplicates exercise in-lane repeats.
-    L.Service.clearDecisions();
-    std::vector<size_t> Doubled;
-    for (size_t Input : Inputs) {
-      Doubled.push_back(Input);
-      Doubled.push_back(Input);
-    }
-    std::vector<runtime::PredictionService::Decision> Warm =
-        L.Service.decideBatch(Doubled);
-    for (size_t I = 0; I != Doubled.size(); ++I) {
-      EXPECT_EQ(Warm[I].Landmark, Expected[I / 2].second)
-          << Name << " tier " << support::simdTierName(E->Tier)
-          << " input " << Doubled[I] << ": warm lane decision drifted";
-      EXPECT_EQ(Warm[I].FeatureCost, 0.0);
-    }
+  // Re-decide from the warm memo: feature values stay cached, so the
+  // whole batch is lane-eligible; duplicates exercise in-lane repeats.
+  L.Service.clearDecisions();
+  std::vector<size_t> Doubled;
+  for (size_t Input : Inputs) {
+    Doubled.push_back(Input);
+    Doubled.push_back(Input);
+  }
+  std::vector<runtime::PredictionService::Decision> Warm =
+      L.Service.decideBatch(Doubled);
+  for (size_t I = 0; I != Doubled.size(); ++I) {
+    EXPECT_EQ(Warm[I].Landmark, Expected[I / 2].second)
+        << Name << " input " << Doubled[I] << ": warm lane decision drifted";
+    EXPECT_EQ(Warm[I].FeatureCost, 0.0);
   }
 }
 

@@ -2,10 +2,9 @@
 //
 // The adaptive serving wrapper in isolation: construction/validation,
 // parity with PredictionService on the same model, epoch-keyed decision
-// caching across hot swaps, batch thread-count invariance, and the
-// concurrency stress the subsystem's thread contract promises -- many
-// small decideBatch calls on an oversubscribed pool racing a hot-swapper
-// thread (the TSan target).
+// caching across hot swaps, and the concurrency stress the subsystem's
+// thread contract promises -- many small decideBatch calls on the
+// serving thread racing a hot-swapper thread (the TSan target).
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,10 +13,10 @@
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/PredictionService.h"
 #include "runtime/SubsetProgram.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -221,43 +220,15 @@ TEST(AdaptiveServiceTest, ScratchAndMonitorFollowTheModelAcrossSwaps) {
   EXPECT_EQ(Service.monitor().numDecisions(), BigLandmarks);
 }
 
-TEST(AdaptiveServiceTest, BatchDecisionsAreThreadCountInvariant) {
-  registry::ProgramPtr P = makeProgram();
-  std::vector<size_t> Inputs;
-  for (size_t Round = 0; Round != 3; ++Round)
-    for (size_t I = 0; I != P->numInputs(); ++I)
-      Inputs.push_back(I);
-
-  std::vector<std::vector<runtime::AdaptiveService::Decision>> Runs;
-  for (unsigned Threads : {0u, 1u, 2u, 8u}) {
-    std::unique_ptr<support::ThreadPool> Pool;
-    if (Threads)
-      Pool = std::make_unique<support::ThreadPool>(Threads);
-    runtime::AdaptiveService Service(*P, cloneModel(modelBytes()));
-    ASSERT_TRUE(Service.ready());
-    Runs.push_back(Service.decideBatch(Inputs, Pool.get()));
-  }
-  for (size_t R = 1; R != Runs.size(); ++R) {
-    ASSERT_EQ(Runs[R].size(), Runs[0].size());
-    for (size_t I = 0; I != Runs[0].size(); ++I) {
-      EXPECT_EQ(Runs[R][I].Landmark, Runs[0][I].Landmark);
-      EXPECT_DOUBLE_EQ(Runs[R][I].FeatureCost, Runs[0][I].FeatureCost);
-      EXPECT_EQ(Runs[R][I].Memoized, Runs[0][I].Memoized);
-    }
-  }
-}
-
-// The stress half of the test wall: an oversubscribed pool serving many
-// small batches while another thread hot-swaps models as fast as it can.
-// Every batch must be internally consistent (one epoch per batch, every
-// landmark valid for that epoch's model); TSan verifies the absence of
-// data races in CI.
+// The stress half of the test wall, in the daemon's shape: the serving
+// thread runs many small batches while another thread hot-swaps models
+// as fast as it can. Every batch must be internally consistent (one
+// epoch per batch, every landmark valid for that epoch's model); TSan
+// verifies the absence of data races in CI.
 TEST(AdaptiveServiceStressTest, ConcurrentHotSwapUnderBatchLoad) {
   registry::ProgramPtr P = makeProgram();
   runtime::AdaptiveService Service(*P, cloneModel(modelBytes()));
   ASSERT_TRUE(Service.ready());
-
-  support::ThreadPool Pool(8); // oversubscribed on small CI machines
 
   constexpr uint64_t kSwaps = 40;
   std::atomic<uint64_t> SwapsDone{0};
@@ -284,7 +255,7 @@ TEST(AdaptiveServiceStressTest, ConcurrentHotSwapUnderBatchLoad) {
          SwapsDone.load(std::memory_order_relaxed) < kSwaps;
        ++Batches) {
     std::vector<runtime::AdaptiveService::Decision> Out =
-        Service.decideBatch(Batch, &Pool);
+        Service.decideBatch(Batch);
     ASSERT_EQ(Out.size(), Batch.size());
     uint64_t Epoch = Out.front().Epoch;
     MaxEpochSeen = std::max(MaxEpochSeen, Epoch);
@@ -299,7 +270,7 @@ TEST(AdaptiveServiceStressTest, ConcurrentHotSwapUnderBatchLoad) {
   }
   Swapper.join();
   for (size_t I = 0; I != 3; ++I, ++Batches)
-    Service.decideBatch(Batch, &Pool);
+    Service.decideBatch(Batch);
 
   EXPECT_EQ(SwapsDone.load(), kSwaps);
   EXPECT_EQ(Service.stats().Decisions, Batches * Batch.size());

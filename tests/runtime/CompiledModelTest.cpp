@@ -17,7 +17,6 @@
 #include "serialize/ModelIO.h"
 #include "support/AlignedAlloc.h"
 #include "support/Random.h"
-#include "support/SimdDispatch.h"
 
 #include <gtest/gtest.h>
 
@@ -92,10 +91,11 @@ unsigned compiledDecide(const runtime::CompiledModel &M,
   return L;
 }
 
-/// Asserts that every available SIMD lane engine classifies blocks of
-/// rows decision-identically to the scalar compiled path, for every
-/// partial lane count 1..Width.
+/// Asserts that the lane kernel classifies blocks of rows
+/// decision-identically to the scalar compiled path, for every partial
+/// lane count 1..kLaneWidth.
 void expectLaneParity(const runtime::CompiledModel &M, const Table &T) {
+  constexpr unsigned W = runtime::kLaneWidth;
   runtime::CompiledModel::Scratch SScalar = M.makeScratch();
   runtime::CompiledModel::Scratch SLane = M.makeScratch();
   // The declared read set must be sorted, unique and in range -- lane
@@ -106,24 +106,22 @@ void expectLaneParity(const runtime::CompiledModel &M, const Table &T) {
     if (I)
       EXPECT_LT(Reads[I - 1], Reads[I]);
   }
-  for (const runtime::LaneEngine *E : runtime::availableLaneEngines()) {
-    for (unsigned Count = 1; Count <= E->Width; ++Count) {
-      for (size_t Base = 0; Base + Count <= T.X.rows(); Base += Count) {
-        // Poison the whole block, then stage only the declared read
-        // set: a kernel examining any undeclared feature diverges
-        // loudly instead of passing on stale-but-plausible values.
-        std::fill(SLane.LaneBlock.begin(), SLane.LaneBlock.end(), 1e300);
-        for (unsigned L = 0; L != Count; ++L)
-          for (uint32_t F : Reads)
-            SLane.LaneBlock[static_cast<size_t>(F) * E->Width + L] =
-                T.X.at(Base + L, F);
-        unsigned Out[runtime::kMaxLaneWidth] = {0};
-        M.classifyProductionBlock(*E, SLane, Count, Out);
-        for (unsigned L = 0; L != Count; ++L)
-          EXPECT_EQ(Out[L], compiledDecide(M, SScalar, T.X, Base + L))
-              << support::simdTierName(E->Tier) << " lane " << L << " of "
-              << Count << " diverged on row " << Base + L;
-      }
+  for (unsigned Count = 1; Count <= W; ++Count) {
+    for (size_t Base = 0; Base + Count <= T.X.rows(); Base += Count) {
+      // Poison the whole block, then stage only the declared read
+      // set: a kernel examining any undeclared feature diverges
+      // loudly instead of passing on stale-but-plausible values.
+      std::fill(SLane.LaneBlock.begin(), SLane.LaneBlock.end(), 1e300);
+      for (unsigned L = 0; L != Count; ++L)
+        for (uint32_t F : Reads)
+          SLane.LaneBlock[static_cast<size_t>(F) * W + L] =
+              T.X.at(Base + L, F);
+      unsigned Out[W] = {0};
+      M.classifyProductionBlock(SLane, Count, Out);
+      for (unsigned L = 0; L != Count; ++L)
+        EXPECT_EQ(Out[L], compiledDecide(M, SScalar, T.X, Base + L))
+            << "lane " << L << " of " << Count << " diverged on row "
+            << Base + L;
     }
   }
 }
@@ -166,8 +164,8 @@ void expectParity(const core::InputClassifier &Classifier,
         << " diverged after serialize/load/compile on row " << Row;
   }
 
-  // And the SIMD lane engines must agree with the scalar walk they
-  // replay, on every tier this host can execute and every partial lane.
+  // And the lane kernel must agree with the scalar walk it replays, on
+  // every partial lane.
   expectLaneParity(Direct, T);
 }
 
@@ -249,7 +247,7 @@ TEST(CompiledModelTest, OneLevelClassifierParity) {
 }
 
 TEST(CompiledModelTest, ArenaAndLaneScratchAre64ByteAligned) {
-  // The SIMD tiers use full-width aligned loads over the arena and the
+  // The lane kernel uses full-width aligned loads over the arena and the
   // lane scratch; both must sit on cache-line boundaries.
   auto Aligned = [](const void *P) {
     return reinterpret_cast<uintptr_t>(P) % support::kCacheLineBytes == 0;

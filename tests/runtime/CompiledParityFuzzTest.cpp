@@ -25,7 +25,6 @@
 #include "runtime/SimdLanes.h"
 #include "runtime/TunableProgram.h"
 #include "support/Random.h"
-#include "support/SimdDispatch.h"
 
 #include <gtest/gtest.h>
 
@@ -290,9 +289,9 @@ TEST(CompiledParityFuzzTest, RandomModelsDecideIdenticallyOnBothPaths) {
 }
 
 /// Full-Decision equality between two services serving the same batch
-/// stream: one lane-serving at a pinned SIMD tier, one with lanes off
-/// (the frozen scalar compiled oracle) -- plus the interpreted path as
-/// the outer oracle for the chosen landmarks.
+/// stream: one lane-serving, one with lanes off (the frozen scalar
+/// compiled oracle) -- plus the interpreted path as the outer oracle for
+/// the chosen landmarks.
 void expectLaneBatchParity(runtime::PredictionService &LaneService,
                            runtime::PredictionService &ScalarService,
                            const std::vector<size_t> &Batch,
@@ -302,101 +301,81 @@ void expectLaneBatchParity(runtime::PredictionService &LaneService,
   std::vector<runtime::PredictionService::Decision> B =
       ScalarService.decideBatch(Batch);
   ASSERT_EQ(A.size(), B.size());
-  const char *Tier = support::simdTierName(LaneService.simdTier());
   for (size_t I = 0; I != Batch.size(); ++I) {
     ASSERT_EQ(A[I].Landmark, B[I].Landmark)
-        << "case " << CaseIndex << " " << Phase << " tier " << Tier
-        << " position " << I << " input " << Batch[I]
-        << ": lane and scalar decisions diverge";
+        << "case " << CaseIndex << " " << Phase << " position " << I
+        << " input " << Batch[I] << ": lane and scalar decisions diverge";
     EXPECT_DOUBLE_EQ(A[I].FeatureCost, B[I].FeatureCost)
-        << "case " << CaseIndex << " " << Phase << " tier " << Tier
-        << " position " << I;
+        << "case " << CaseIndex << " " << Phase << " position " << I;
     EXPECT_EQ(A[I].FeaturesExtracted, B[I].FeaturesExtracted)
-        << "case " << CaseIndex << " " << Phase << " tier " << Tier
-        << " position " << I;
+        << "case " << CaseIndex << " " << Phase << " position " << I;
     EXPECT_EQ(A[I].Memoized, B[I].Memoized)
-        << "case " << CaseIndex << " " << Phase << " tier " << Tier
-        << " position " << I;
+        << "case " << CaseIndex << " " << Phase << " position " << I;
     ASSERT_EQ(A[I].Landmark,
               ScalarService.decideInterpreted(Batch[I]).Landmark)
-        << "case " << CaseIndex << " " << Phase << " tier " << Tier
-        << " position " << I << ": lane diverges from interpreted oracle";
+        << "case " << CaseIndex << " " << Phase << " position " << I
+        << ": lane diverges from interpreted oracle";
   }
 }
 
-/// The SIMD parity wall proper: every fuzz model served through every
-/// dispatch tier this host can execute, with the scalar compiled path
-/// (lane serving off) and the interpreted classifier as frozen oracles.
-/// Covers cold batches with in-lane duplicate inputs, lane-remainder
-/// batch sizes 1..2*Width, and a forced memo-complete pass so the
-/// tree/Bayes lane kernels run too (cold tree/Bayes inputs take the
-/// scalar fallback by design -- lazy extraction is value-dependent).
-TEST(CompiledParityFuzzTest, LaneServingMatchesScalarOnEveryTier) {
-  std::vector<const runtime::LaneEngine *> Engines =
-      runtime::availableLaneEngines();
-  ASSERT_FALSE(Engines.empty());
-  EXPECT_EQ(Engines.front()->Tier, support::SimdTier::Scalar);
-  for (const runtime::LaneEngine *E : Engines) {
-    EXPECT_EQ(&runtime::laneEngine(E->Tier), E);
-    EXPECT_GE(E->Width, 4u);
-    EXPECT_LE(E->Width, runtime::kMaxLaneWidth);
-    ASSERT_NE(E->ClassifyBlock, nullptr);
-  }
-
+/// The lane parity wall proper: every fuzz model served through the
+/// lane kernel, with the scalar compiled path (lane serving off) and the
+/// interpreted classifier as frozen oracles. Covers cold batches with
+/// in-lane duplicate inputs, lane-remainder batch sizes 1..2*kLaneWidth,
+/// and a forced memo-complete pass so the tree/Bayes lane kernels run
+/// too (cold tree/Bayes inputs take the scalar fallback by design --
+/// lazy extraction is value-dependent).
+TEST(CompiledParityFuzzTest, LaneServingMatchesScalarAndInterpreted) {
   constexpr unsigned kModels = 60;
   for (unsigned CaseIndex = 0; CaseIndex != kModels; ++CaseIndex) {
-    for (const runtime::LaneEngine *E : Engines) {
-      // makeCase is deterministic in its index: two builds of the same
-      // case give the lane and scalar services identical models.
-      FuzzCase LaneCase = makeCase(CaseIndex);
-      FuzzCase ScalarCase = makeCase(CaseIndex);
-      runtime::PredictionService LaneService(std::move(LaneCase.Model));
-      runtime::PredictionService ScalarService(std::move(ScalarCase.Model));
-      LaneService.setSimdTier(E->Tier);
-      ASSERT_EQ(LaneService.simdTier(), E->Tier); // host-executable tier
-      ASSERT_TRUE(LaneService.laneServing());
-      ScalarService.setLaneServing(false);
-      ASSERT_TRUE(LaneService.bind(*LaneCase.Program).Ok);
-      ASSERT_TRUE(ScalarService.bind(*ScalarCase.Program).Ok);
+    // makeCase is deterministic in its index: two builds of the same
+    // case give the lane and scalar services identical models.
+    FuzzCase LaneCase = makeCase(CaseIndex);
+    FuzzCase ScalarCase = makeCase(CaseIndex);
+    runtime::PredictionService LaneService(std::move(LaneCase.Model));
+    runtime::PredictionService ScalarService(std::move(ScalarCase.Model));
+    ASSERT_TRUE(LaneService.laneServing());
+    ScalarService.setLaneServing(false);
+    ASSERT_TRUE(LaneService.bind(*LaneCase.Program).Ok);
+    ASSERT_TRUE(ScalarService.bind(*ScalarCase.Program).Ok);
 
-      const size_t N = LaneCase.Program->numInputs();
-      // Cold pass with each input duplicated adjacently: the repeat of
-      // an input still queued in a pending lane must flush and serve
-      // from the fresh decision cache, in batch order.
-      std::vector<size_t> Cold;
-      for (size_t I = 0; I != N; ++I) {
-        Cold.push_back(I);
-        Cold.push_back(I);
-      }
-      expectLaneBatchParity(LaneService, ScalarService, Cold, CaseIndex,
-                            "cold");
+    const size_t N = LaneCase.Program->numInputs();
+    // Cold pass with each input duplicated adjacently: the repeat of an
+    // input still queued in a pending lane must flush and serve from
+    // the fresh decision cache, in batch order.
+    std::vector<size_t> Cold;
+    for (size_t I = 0; I != N; ++I) {
+      Cold.push_back(I);
+      Cold.push_back(I);
+    }
+    expectLaneBatchParity(LaneService, ScalarService, Cold, CaseIndex,
+                          "cold");
 
-      // Lane-remainder sizes 1..2*Width over re-decided warm inputs.
-      for (unsigned Size = 1; Size <= 2 * E->Width; ++Size) {
-        LaneService.clearDecisions();
-        ScalarService.clearDecisions();
-        std::vector<size_t> Batch;
-        for (unsigned I = 0; I != Size; ++I)
-          Batch.push_back(I % N);
-        expectLaneBatchParity(LaneService, ScalarService, Batch, CaseIndex,
-                              "remainder");
-      }
-
-      // Force memo completeness through the all-features one-level
-      // baseline, then re-decide: tree/Bayes models now take the lane
-      // path instead of the cold scalar fallback.
-      for (size_t I = 0; I != N; ++I) {
-        LaneService.decideOneLevel(I);
-        ScalarService.decideOneLevel(I);
-      }
+    // Lane-remainder sizes 1..2*kLaneWidth over re-decided warm inputs.
+    for (unsigned Size = 1; Size <= 2 * runtime::kLaneWidth; ++Size) {
       LaneService.clearDecisions();
       ScalarService.clearDecisions();
-      std::vector<size_t> Warm(N);
-      std::iota(Warm.begin(), Warm.end(), size_t{0});
-      std::reverse(Warm.begin(), Warm.end());
-      expectLaneBatchParity(LaneService, ScalarService, Warm, CaseIndex,
-                            "memo-complete");
+      std::vector<size_t> Batch;
+      for (unsigned I = 0; I != Size; ++I)
+        Batch.push_back(I % N);
+      expectLaneBatchParity(LaneService, ScalarService, Batch, CaseIndex,
+                            "remainder");
     }
+
+    // Force memo completeness through the all-features one-level
+    // baseline, then re-decide: tree/Bayes models now take the lane
+    // path instead of the cold scalar fallback.
+    for (size_t I = 0; I != N; ++I) {
+      LaneService.decideOneLevel(I);
+      ScalarService.decideOneLevel(I);
+    }
+    LaneService.clearDecisions();
+    ScalarService.clearDecisions();
+    std::vector<size_t> Warm(N);
+    std::iota(Warm.begin(), Warm.end(), size_t{0});
+    std::reverse(Warm.begin(), Warm.end());
+    expectLaneBatchParity(LaneService, ScalarService, Warm, CaseIndex,
+                          "memo-complete");
   }
 }
 
