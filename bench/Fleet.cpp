@@ -395,6 +395,7 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
     Sum.Client.MarkDowns += R.Client.MarkDowns;
     Sum.Client.Reconnects += R.Client.Reconnects;
     Sum.Client.Exhausted += R.Client.Exhausted;
+    Sum.Client.Busy += R.Client.Busy;
     Sum.LatenciesUs.insert(Sum.LatenciesUs.end(), R.LatenciesUs.begin(),
                            R.LatenciesUs.end());
     Sum.FailoverLatenciesUs.insert(Sum.FailoverLatenciesUs.end(),
@@ -431,6 +432,7 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
   J += "  \"failover_latency_p99_us\": " +
        jsonQuantile(Sum.FailoverLatenciesUs, 0.99) + ",\n";
   J += "  \"mark_downs\": " + std::to_string(Sum.Client.MarkDowns) + ",\n";
+  J += "  \"busy_hellos\": " + std::to_string(Sum.Client.Busy) + ",\n";
   J += "  \"reconnects\": " + std::to_string(Sum.Client.Reconnects) + ",\n";
   J += "  \"restarts\": " + std::to_string(Restarts) + ",\n";
   J += "  \"supervisor_resumes\": " + std::to_string(Resumes.load()) + ",\n";

@@ -28,6 +28,7 @@
 #include "ml/CrossValidation.h"
 #include "ml/DecisionTree.h"
 #include "ml/KMeans.h"
+#include "pde/Helmholtz3D.h"
 #include "pde/Poisson2D.h"
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/PredictionService.h"
@@ -195,6 +196,47 @@ static void BM_PoissonSORSweeps(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_PoissonSORSweeps)->Arg(10)->Arg(100);
+
+/// A smooth right-hand side over a layered coefficient field (beta jumps
+/// 1 -> 10 half way along I), the helmholtz3d substrate's hard case.
+static pde::HelmholtzProblem helmholtzProblem(size_t N) {
+  pde::HelmholtzProblem P;
+  P.F = pde::Grid3D(N);
+  P.Beta = pde::Grid3D(N);
+  for (size_t I = 0; I != N; ++I)
+    for (size_t J = 0; J != N; ++J)
+      for (size_t K = 0; K != N; ++K) {
+        P.Beta.at(I, J, K) = I < N / 2 ? 1.0 : 10.0;
+        if (I && J && K && I + 1 < N && J + 1 < N && K + 1 < N)
+          P.F.at(I, J, K) = std::sin(M_PI * I / (N - 1.0)) *
+                            std::sin(M_PI * J / (N - 1.0)) *
+                            std::sin(M_PI * K / (N - 1.0));
+      }
+  return P;
+}
+
+// Ten sweeps per call on an N^3 grid (Arg = N).
+static void BM_HelmholtzSORSweeps(benchmark::State &State) {
+  size_t N = static_cast<size_t>(State.range(0));
+  pde::HelmholtzProblem P = helmholtzProblem(N);
+  for (auto _ : State) {
+    pde::Grid3D U(N);
+    pde::helmholtzSmoothSOR(P, U, 1.5, 10);
+    benchmark::DoNotOptimize(U.data().data());
+  }
+}
+BENCHMARK(BM_HelmholtzSORSweeps)->Arg(9)->Arg(17);
+
+static void BM_HelmholtzJacobiSweeps(benchmark::State &State) {
+  size_t N = static_cast<size_t>(State.range(0));
+  pde::HelmholtzProblem P = helmholtzProblem(N);
+  for (auto _ : State) {
+    pde::Grid3D U(N);
+    pde::helmholtzSmoothJacobi(P, U, 0.8, 10);
+    benchmark::DoNotOptimize(U.data().data());
+  }
+}
+BENCHMARK(BM_HelmholtzJacobiSweeps)->Arg(9)->Arg(17);
 
 //===----------------------------------------------------------------------===//
 // ML kernels

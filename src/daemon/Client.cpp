@@ -280,21 +280,23 @@ void FailoverClient::markDown(size_t I) {
     close();
 }
 
-bool FailoverClient::ensureAttached(size_t I, std::string &Err) {
+FailoverClient::AttachOutcome FailoverClient::ensureAttached(size_t I,
+                                                             std::string &Err) {
   if (Attached == I && Conn.connected())
-    return true;
+    return AttachOutcome::Ok;
   close();
   if (!Conn.connect(Replicas[I].Endpoint, Err))
-    return false;
+    return AttachOutcome::Down;
   DaemonClient::AttachInfo Info;
   if (!Conn.attach(Tenant, Info, Err)) {
+    bool Busy = Conn.lastRpcShed();
     Conn.close();
-    return false;
+    return Busy ? AttachOutcome::Busy : AttachOutcome::Down;
   }
   Attached = I;
   Replicas[I].DownUntil = 0;
   ++Counters.Reconnects;
-  return true;
+  return AttachOutcome::Ok;
 }
 
 DaemonClient::PredictOutcome
@@ -307,6 +309,7 @@ FailoverClient::predict(const std::vector<uint64_t> &Inputs,
     return DaemonClient::PredictOutcome::Error;
   }
   std::string LastErr = "no replica reachable";
+  std::string BusyErr; // set when some replica shed our Hello
   unsigned Passes = std::max(1u, Opts.PassesPerCall);
   for (unsigned Pass = 0; Pass < Passes; ++Pass) {
     // Order candidates: the currently-attached replica first (the common
@@ -338,7 +341,15 @@ FailoverClient::predict(const std::vector<uint64_t> &Inputs,
     }
     for (size_t I : Order) {
       std::string E;
-      if (!ensureAttached(I, E)) {
+      AttachOutcome Attach = ensureAttached(I, E);
+      if (Attach == AttachOutcome::Busy) {
+        // A live replica at its session cap: try the next one, but keep
+        // it eligible -- a cooldown would starve it once it frees up.
+        BusyErr = Replicas[I].Endpoint + ": " + E;
+        ++Counters.Busy;
+        continue;
+      }
+      if (Attach == AttachOutcome::Down) {
         LastErr = Replicas[I].Endpoint + ": " + E;
         markDown(I);
         ++Counters.Failovers;
@@ -361,6 +372,10 @@ FailoverClient::predict(const std::vector<uint64_t> &Inputs,
       ++Counters.Failovers;
       ++LastFailovers;
     }
+  }
+  if (!BusyErr.empty()) {
+    Err = "all reachable replicas busy: " + BusyErr;
+    return DaemonClient::PredictOutcome::Shed;
   }
   ++Counters.Exhausted;
   Err = "all replicas failed: " + LastErr;

@@ -158,7 +158,10 @@ struct FailoverOptions {
 /// same input batch decides identically on every replica of an epoch --
 /// is retried on the next replica when a transport error hits
 /// mid-request. A Shed reply is an answer (admission control), never a
-/// failover trigger. When every endpoint is in cooldown the
+/// failover trigger. A replica whose session cap sheds the Hello is busy,
+/// not dead: it is skipped for this call without a cooldown, and when
+/// no replica answers but one was busy the call reports Shed, not
+/// Error. When every endpoint is in cooldown the
 /// least-recently-failed one is probed anyway: with a whole fleet marked
 /// down, a forced probe is strictly better than refusing to try.
 class FailoverClient {
@@ -166,10 +169,11 @@ public:
   FailoverClient(std::vector<std::string> Endpoints, std::string Tenant,
                  FailoverOptions Options = FailoverOptions());
 
-  /// Predict with failover across the endpoint list. Outcome::Error
-  /// means every pass over every endpoint failed -- with any replica
-  /// alive this should never happen, which is exactly what the chaos
-  /// wall asserts.
+  /// Predict with failover across the endpoint list. Outcome::Shed
+  /// without an answer means every replica that could be reached was at
+  /// its session cap. Outcome::Error means every pass over every
+  /// endpoint failed -- with any replica alive this should never happen,
+  /// which is exactly what the chaos wall asserts.
   DaemonClient::PredictOutcome predict(const std::vector<uint64_t> &Inputs,
                                        std::vector<PredictedChoice> &Choices,
                                        std::string &Err);
@@ -186,6 +190,7 @@ public:
     uint64_t MarkDowns = 0;  ///< endpoints marked down
     uint64_t Reconnects = 0; ///< successful (re)connect+attach
     uint64_t Exhausted = 0;  ///< predict() calls that ran out of replicas
+    uint64_t Busy = 0;       ///< Hellos shed by a replica's session cap
   };
   const Stats &stats() const { return Counters; }
 
@@ -198,7 +203,8 @@ private:
     double LastFail = 0;
   };
 
-  bool ensureAttached(size_t I, std::string &Err);
+  enum class AttachOutcome { Ok, Busy, Down };
+  AttachOutcome ensureAttached(size_t I, std::string &Err);
   void markDown(size_t I);
 
   std::vector<Replica> Replicas;

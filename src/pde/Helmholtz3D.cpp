@@ -6,9 +6,11 @@
 
 #include "pde/Helmholtz3D.h"
 #include "pde/BandedCholesky.h"
+#include "pde/Wavefront.h"
 
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 using namespace pbt;
 using namespace pbt::pde;
@@ -75,25 +77,69 @@ double pde::helmholtzResidualNorm(const HelmholtzProblem &P, const Grid3D &U,
   return R.rms();
 }
 
+namespace {
+/// The 7-point operator at one interior node: the faces and the diagonal
+/// Alpha + sum * InvH2, computed exactly as the per-point facesAt path.
+struct NodeStencil {
+  double E, W, N, S, U, D, Diag;
+};
+} // namespace
+
+/// The per-node stencils of \p P in lexicographic interior order. They
+/// depend only on Beta and Alpha, so the smoothers build them once per
+/// call instead of once per node per sweep.
+static std::vector<NodeStencil> buildStencils(const HelmholtzProblem &P,
+                                              double InvH2) {
+  size_t N = P.Beta.size();
+  size_t M = N - 2;
+  std::vector<NodeStencil> Table;
+  Table.reserve(M * M * M);
+  for (size_t I = 1; I + 1 < N; ++I)
+    for (size_t J = 1; J + 1 < N; ++J)
+      for (size_t K = 1; K + 1 < N; ++K) {
+        Faces Fc = facesAt(P.Beta, I, J, K);
+        Table.push_back({Fc.E, Fc.W, Fc.N, Fc.S, Fc.U, Fc.D,
+                         P.Alpha + Fc.sum() * InvH2});
+      }
+  return Table;
+}
+
+/// The Gauss-Seidel value of node K of the K-line \p Line of an N^3
+/// grid given its Down neighbour (K - 1), with the operand order of the
+/// lexicographic sweep.
+static inline double gaussSeidelValue(const double *Line, const double *FLine,
+                                      const NodeStencil &St, size_t K,
+                                      size_t N, double Down, double InvH2) {
+  double OffDiag = St.E * Line[K + N * N] + St.W * Line[K - N * N] +
+                   St.N * Line[K + N] + St.S * Line[K - N] +
+                   St.U * Line[K + 1] + St.D * Down;
+  return (FLine[K] + OffDiag * InvH2) / St.Diag;
+}
+
 void pde::helmholtzSmoothJacobi(const HelmholtzProblem &P, Grid3D &U,
                                 double Omega, unsigned Sweeps,
                                 support::CostCounter *Cost) {
   size_t N = U.size();
   double InvH2 = 1.0 / (U.h() * U.h());
-  Grid3D Next = U;
-  for (unsigned S = 0; S != Sweeps; ++S) {
-    for (size_t I = 1; I + 1 < N; ++I)
-      for (size_t J = 1; J + 1 < N; ++J)
-        for (size_t K = 1; K + 1 < N; ++K) {
-          Faces Fc = facesAt(P.Beta, I, J, K);
-          double Diag = P.Alpha + Fc.sum() * InvH2;
-          double OffDiag = Fc.E * U.at(I + 1, J, K) + Fc.W * U.at(I - 1, J, K) +
-                           Fc.N * U.at(I, J + 1, K) + Fc.S * U.at(I, J - 1, K) +
-                           Fc.U * U.at(I, J, K + 1) + Fc.D * U.at(I, J, K - 1);
-          double GS = (P.F.at(I, J, K) + OffDiag * InvH2) / Diag;
-          Next.at(I, J, K) = U.at(I, J, K) + Omega * (GS - U.at(I, J, K));
+  if (Sweeps != 0) {
+    std::vector<NodeStencil> Table = buildStencils(P, InvH2);
+    Grid3D Next = U;
+    for (unsigned S = 0; S != Sweeps; ++S) {
+      const NodeStencil *St = Table.data();
+      for (size_t I = 1; I + 1 < N; ++I)
+        for (size_t J = 1; J + 1 < N; ++J) {
+          size_t Off = (I * N + J) * N;
+          const double *Line = U.data().data() + Off;
+          const double *FLine = P.F.data().data() + Off;
+          double *Out = Next.data().data() + Off;
+          for (size_t K = 1; K + 1 < N; ++K, ++St) {
+            double GS =
+                gaussSeidelValue(Line, FLine, *St, K, N, Line[K - 1], InvH2);
+            Out[K] = Line[K] + Omega * (GS - Line[K]);
+          }
         }
-    std::swap(U.data(), Next.data());
+      std::swap(U.data(), Next.data());
+    }
   }
   if (Cost)
     Cost->addStencil(2.0 * static_cast<double>(Sweeps) *
@@ -105,18 +151,37 @@ void pde::helmholtzSmoothSOR(const HelmholtzProblem &P, Grid3D &U,
                              support::CostCounter *Cost) {
   size_t N = U.size();
   double InvH2 = 1.0 / (U.h() * U.h());
-  for (unsigned S = 0; S != Sweeps; ++S)
-    for (size_t I = 1; I + 1 < N; ++I)
-      for (size_t J = 1; J + 1 < N; ++J)
-        for (size_t K = 1; K + 1 < N; ++K) {
-          Faces Fc = facesAt(P.Beta, I, J, K);
-          double Diag = P.Alpha + Fc.sum() * InvH2;
-          double OffDiag = Fc.E * U.at(I + 1, J, K) + Fc.W * U.at(I - 1, J, K) +
-                           Fc.N * U.at(I, J + 1, K) + Fc.S * U.at(I, J - 1, K) +
-                           Fc.U * U.at(I, J, K + 1) + Fc.D * U.at(I, J, K - 1);
-          double GS = (P.F.at(I, J, K) + OffDiag * InvH2) / Diag;
-          U.at(I, J, K) += Omega * (GS - U.at(I, J, K));
-        }
+  // Items are (sweep, K-line) pairs; each lane keeps its line's Down
+  // neighbour, the value it just wrote, in a register.
+  size_t M = N - 2;
+  size_t Lines = M * M;
+  size_t Items = static_cast<size_t>(Sweeps) * Lines;
+  std::vector<NodeStencil> Table;
+  if (Items != 0)
+    Table = buildStencils(P, InvH2);
+  double *Base = U.data().data();
+  const double *FBase = P.F.data().data();
+  double *Line[kWavefrontLanes] = {};
+  const double *FLine[kWavefrontLanes] = {};
+  const NodeStencil *StLine[kWavefrontLanes] = {};
+  double Down[kWavefrontLanes] = {};
+  runWavefront(
+      Items, M,
+      [&](size_t L, size_t Item) {
+        size_t Q = Item % Lines;
+        size_t Off = ((1 + Q / M) * N + 1 + Q % M) * N;
+        Line[L] = Base + Off;
+        FLine[L] = FBase + Off;
+        StLine[L] = Table.data() + Q * M;
+        Down[L] = Line[L][0];
+      },
+      [&](size_t L, size_t K) {
+        double *C = Line[L];
+        double GS = gaussSeidelValue(C, FLine[L], StLine[L][K - 1], K, N,
+                                     Down[L], InvH2);
+        C[K] += Omega * (GS - C[K]);
+        Down[L] = C[K];
+      });
   if (Cost)
     Cost->addStencil(2.0 * static_cast<double>(Sweeps) *
                      static_cast<double>((N - 2) * (N - 2) * (N - 2)));

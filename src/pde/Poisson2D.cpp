@@ -6,6 +6,7 @@
 
 #include "pde/Poisson2D.h"
 #include "pde/BandedCholesky.h"
+#include "pde/Wavefront.h"
 
 #include <cassert>
 #include <cmath>
@@ -77,14 +78,31 @@ void pde::smoothSOR(Grid2D &U, const Grid2D &F, double Omega, unsigned Sweeps,
   size_t N = U.size();
   assert(F.size() == N && "grid size mismatch");
   double H2 = U.h() * U.h();
-  for (unsigned S = 0; S != Sweeps; ++S)
-    for (size_t I = 1; I + 1 < N; ++I)
-      for (size_t J = 1; J + 1 < N; ++J) {
-        double GS = (H2 * F.at(I, J) + U.at(I - 1, J) + U.at(I + 1, J) +
-                     U.at(I, J - 1) + U.at(I, J + 1)) /
+  // Items are (sweep, row) pairs; each lane keeps its row's West
+  // neighbour, the value it just wrote, in a register.
+  size_t M = N - 2;
+  double *Base = U.data().data();
+  const double *FBase = F.data().data();
+  double *Row[kWavefrontLanes] = {};
+  const double *FRow[kWavefrontLanes] = {};
+  double West[kWavefrontLanes] = {};
+  runWavefront(
+      static_cast<size_t>(Sweeps) * M, M,
+      [&](size_t L, size_t Item) {
+        size_t Off = (1 + Item % M) * N;
+        Row[L] = Base + Off;
+        FRow[L] = FBase + Off;
+        West[L] = Row[L][0];
+      },
+      [&](size_t L, size_t J) {
+        double *C = Row[L];
+        // The lexicographic sweep's expression and operand order.
+        double GS = (H2 * FRow[L][J] + C[J - N] + C[J + N] + West[L] +
+                     C[J + 1]) /
                     4.0;
-        U.at(I, J) += Omega * (GS - U.at(I, J));
-      }
+        C[J] += Omega * (GS - C[J]);
+        West[L] = C[J];
+      });
   if (Cost)
     Cost->addStencil(static_cast<double>(Sweeps) *
                      static_cast<double>((N - 2) * (N - 2)));

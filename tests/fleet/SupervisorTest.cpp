@@ -3,8 +3,10 @@
 // The fleet supervisor against real fork/exec'd pbt-serve replicas
 // (located via PBT_SERVE_BIN): health-probe convergence, SIGKILL ->
 // restart with a changed pid, crash-loop quarantine (exec failure and
-// deliberate kill-looping), TCP port pinning across respawns, and a
-// FailoverClient riding through a kill without a single lost request.
+// deliberate kill-looping), TCP port pinning across respawns, a
+// FailoverClient riding through a kill without a single lost request,
+// and a FailoverClient telling a busy replica (session cap) from a dead
+// one.
 // Integration-labelled, so the whole file runs under the sanitizer CI
 // matrix.
 //
@@ -13,6 +15,8 @@
 #include "fleet/Supervisor.h"
 
 #include "daemon/Client.h"
+#include "daemon/ModelRegistry.h"
+#include "daemon/Server.h"
 #include "registry/BenchmarkRegistry.h"
 #include "serialize/ModelIO.h"
 
@@ -21,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,6 +79,28 @@ SupervisorOptions baseOptions(size_t Replicas) {
   O.BackoffCapSeconds = 0.2;
   return O;
 }
+
+/// An in-process pbt-serve replica over the sort1 model on an ephemeral
+/// TCP port, for tests that need per-replica server options.
+struct InProcessReplica {
+  daemon::ModelRegistry Registry;
+  std::unique_ptr<daemon::Server> Srv;
+
+  explicit InProcessReplica(unsigned MaxSessions)
+      : Registry(daemon::ModelRegistryOptions{}) {
+    serialize::LoadStatus St = Registry.addTenant("", modelPath());
+    EXPECT_TRUE(St.Ok) << St.Error;
+    daemon::ServerOptions SO;
+    SO.Listen = {"127.0.0.1:0"};
+    SO.MaxSessions = MaxSessions;
+    Srv = std::make_unique<daemon::Server>(Registry, SO);
+    std::string Err;
+    EXPECT_TRUE(Srv->start(Err)) << Err;
+  }
+  ~InProcessReplica() { Srv->stop(); }
+
+  std::string endpoint() const { return Srv->boundEndpoints().front(); }
+};
 
 double nowSeconds() {
   return std::chrono::duration<double>(
@@ -243,4 +270,69 @@ TEST(SupervisorTest, FailoverClientRidesThroughAKill) {
   ASSERT_TRUE(Sup.waitAllHealthy(60.0));
   C.close();
   Sup.stop();
+}
+
+TEST(SupervisorTest, FailoverClientSkipsBusyReplicaWithoutMarkingItDown) {
+  // Replica 0 is at its session cap: its only session is held, so it
+  // sheds every further Hello. It is busy, not dead.
+  InProcessReplica Busy(/*MaxSessions=*/1), Live(/*MaxSessions=*/256);
+  daemon::DaemonClient Holder;
+  daemon::DaemonClient::AttachInfo Info;
+  std::string Err;
+  ASSERT_TRUE(Holder.connect(Busy.endpoint(), Err) &&
+              Holder.attach("sort1", Info, Err))
+      << Err;
+
+  daemon::FailoverOptions FO;
+  FO.Client.ConnectTimeout = 1.0;
+  FO.Client.MaxConnectAttempts = 1;
+  FO.CooldownSeconds = 60.0; // a wrong mark-down would stick
+  daemon::FailoverClient C({Busy.endpoint(), Live.endpoint()}, "sort1", FO);
+  std::vector<daemon::PredictedChoice> Choices;
+  for (int I = 0; I < 3; ++I) {
+    ASSERT_EQ(C.predict({0, 1, 2}, Choices, Err),
+              daemon::DaemonClient::PredictOutcome::Ok)
+        << Err;
+    EXPECT_EQ(C.lastEndpoint(), Live.endpoint());
+  }
+  EXPECT_EQ(C.stats().MarkDowns, 0u);
+  EXPECT_EQ(C.stats().Failovers, 0u);
+  EXPECT_GE(C.stats().Busy, 1u);
+  EXPECT_EQ(C.stats().Exhausted, 0u);
+
+  // Once the held session ends, the busy replica serves again at once:
+  // no cooldown was started.
+  Holder.close();
+  daemon::FailoverClient Only({Busy.endpoint()}, "sort1", FO);
+  bool Served = false;
+  for (int I = 0; I < 200 && !Served; ++I) {
+    Served = Only.predict({0, 1, 2}, Choices, Err) ==
+             daemon::DaemonClient::PredictOutcome::Ok;
+    if (!Served)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(Served) << Err;
+  EXPECT_EQ(Only.stats().MarkDowns, 0u);
+}
+
+TEST(SupervisorTest, FailoverClientReportsShedWhenEveryReplicaIsBusy) {
+  InProcessReplica Busy(/*MaxSessions=*/1);
+  daemon::DaemonClient Holder;
+  daemon::DaemonClient::AttachInfo Info;
+  std::string Err;
+  ASSERT_TRUE(Holder.connect(Busy.endpoint(), Err) &&
+              Holder.attach("sort1", Info, Err))
+      << Err;
+
+  daemon::FailoverOptions FO;
+  FO.Client.ConnectTimeout = 1.0;
+  FO.Client.MaxConnectAttempts = 1;
+  daemon::FailoverClient C({Busy.endpoint()}, "sort1", FO);
+  std::vector<daemon::PredictedChoice> Choices;
+  EXPECT_EQ(C.predict({0, 1, 2}, Choices, Err),
+            daemon::DaemonClient::PredictOutcome::Shed)
+      << Err;
+  EXPECT_EQ(C.stats().MarkDowns, 0u);
+  EXPECT_EQ(C.stats().Exhausted, 0u);
+  EXPECT_GE(C.stats().Busy, 1u);
 }
