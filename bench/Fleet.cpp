@@ -175,11 +175,9 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
   std::error_code EC;
   std::filesystem::remove_all(StoreDir, EC);
 
-  // One in-process replica: the publisher's canary. The real fleet is
-  // the external pbt-serve processes below.
-  rollout::RolloutOptions RO;
-  RO.Replicas = 1;
-  RolloutController Ctl(*E.Program, StoreDir, RO);
+  // The publisher and its in-process canary. The fleet is the external
+  // pbt-serve processes below, following the store.
+  RolloutController Ctl(*E.Program, StoreDir);
   LoadStatus St = Ctl.start(Base);
   if (!St) {
     std::fprintf(stderr, "pbt-bench fleet: store bootstrap failed: %s\n",

@@ -120,7 +120,8 @@ static void printUsage() {
       "  --workers=N          loadgen --spawn: server batch workers\n"
       "  --batch-max=N        loadgen --spawn: server micro-batch cap\n"
       "  --adapt              loadgen --spawn: per-tenant drift adaptation\n"
-      "  --replicas=N         rollout: simulated serving replicas (default 3)\n"
+      "  --replicas=N         rollout: store followers beside the canary;\n"
+      "                       fleet: pbt-serve replicas (default 3)\n"
       "  --cycles=N           rollout: staged rollout cycles (default 8)\n"
       "  --faults             rollout: arm one randomized failpoint per\n"
       "                       cycle (crash/corruption injection)\n"

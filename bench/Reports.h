@@ -99,7 +99,8 @@ struct DriverOptions {
   unsigned BatchMax = 64;
   /// `loadgen --spawn` only: per-tenant drift adaptation (--adapt).
   bool Adapt = false;
-  /// `rollout` only: serving replicas in the simulated fleet (--replicas).
+  /// `rollout`: store followers serving beside the canary; `fleet`:
+  /// pbt-serve replicas (--replicas).
   unsigned Replicas = 3;
   /// `rollout` only: publish/canary/promote cycles to drive (--cycles).
   unsigned Cycles = 8;
@@ -214,19 +215,20 @@ int runInteract(const DriverOptions &Opts);
 int runLoadgen(const DriverOptions &Opts, const char *Argv0);
 /// `rollout`: the crash-safe fleet-rollout harness. Trains one model,
 /// seeds a model store, then drives --cycles staged rollouts (publish ->
-/// canary -> promote/rollback) through a RolloutController fleet of
-/// --replicas in-process replicas, alternating clone candidates (equal
-/// shadow score: promote) with landmark-rotated degraded candidates
-/// (worse: rollback). With --faults each cycle arms one randomized
-/// failpoint (torn write, crash-before-rename, crash-before-manifest,
-/// crash-between-manifest-and-CURRENT, checksum corruption, failing
-/// fsync); an injected crash kills the fleet mid-protocol, and the
-/// harness restarts it from the store, timing recovery and verifying the
-/// recovered fleet's decisions are golden-identical to the last durable
-/// epoch's. Reports publish/canary/promote latency, recovery time, torn
-/// reads prevented, and the zero-torn-reads-served assertion as JSON
-/// (stdout; also OutDir/BENCH_rollout.json with --json). Any torn read
-/// served, golden divergence, or failed recovery is a nonzero exit.
+/// canary -> promote/rollback) through a RolloutController, syncing
+/// --replicas in-process store followers after each cycle, alternating
+/// clone candidates (equal shadow score: promote) with landmark-rotated
+/// degraded candidates (worse: rollback). With --faults each cycle arms
+/// one randomized failpoint (torn write, crash-before-rename,
+/// crash-before-manifest, crash-between-manifest-and-CURRENT, checksum
+/// corruption, failing fsync); an injected crash kills the fleet
+/// mid-protocol, and the harness restarts it from the store, timing
+/// recovery and verifying the recovered fleet's decisions are
+/// golden-identical to the last durable epoch's. Reports
+/// publish/canary/promote latency, recovery time, images the followers
+/// and the canary refused (torn_reads_prevented) and golden mismatches
+/// as JSON (stdout; also OutDir/BENCH_rollout.json with --json). Any
+/// golden divergence or failed recovery is a nonzero exit.
 int runRollout(const DriverOptions &Opts);
 /// `fleet`: the supervised cross-process serving-fleet harness. Trains
 /// one model, seeds a crash-safe model store, fork/execs --replicas

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// `pbt-bench rollout`: drives publish -> canary -> promote/rollback
-/// cycles through an in-process RolloutController fleet over the
-/// crash-safe model store, optionally under randomized fault injection
-/// (--faults), and reports the rollout-path latencies and crash-recovery
-/// behavior as BENCH_rollout.json. See Reports.h for the contract.
+/// cycles through an in-process RolloutController over the crash-safe
+/// model store, with --replicas serving followers synced after every
+/// cycle, optionally under randomized fault injection (--faults), and
+/// reports the rollout-path latencies and crash-recovery behavior as
+/// BENCH_rollout.json. See Reports.h for the contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <iterator>
 #include <map>
@@ -96,38 +98,46 @@ int runRollout(const DriverOptions &Opts) {
   std::error_code EC;
   std::filesystem::remove_all(StoreDir, EC);
 
-  rollout::RolloutOptions RO;
-  RO.Replicas = Opts.Replicas;
-  auto Ctl = std::make_unique<RolloutController>(*E.Program, StoreDir, RO);
+  auto Ctl = std::make_unique<RolloutController>(*E.Program, StoreDir);
   LoadStatus St = Ctl->start(Base);
   if (!St) {
     std::fprintf(stderr, "pbt-bench rollout: store bootstrap failed: %s\n",
                  St.Error.c_str());
     return 1;
   }
+  // The serving replicas follow the store, as pbt-serve store tenants
+  // do; like those processes, they outlive a publisher crash.
+  std::deque<rollout::ServingFollower> Followers;
+  for (unsigned I = 0; I != Opts.Replicas; ++I)
+    Followers.emplace_back(*E.Program, StoreDir);
 
   // Golden decisions per epoch: the first time an epoch serves, its
   // probe choices are recorded; every later sighting (post-promotion
-  // syncs, post-crash recoveries) must reproduce them exactly.
+  // syncs, post-crash recoveries) must reproduce them exactly. Each
+  // check first syncs the followers onto CURRENT.
   std::vector<size_t> Probe;
   for (size_t I = 0; I != std::min<size_t>(32, E.Program->numInputs()); ++I)
     Probe.push_back(I);
   std::map<uint64_t, std::vector<unsigned>> Golden;
   uint64_t GoldenMismatches = 0;
-  auto checkGolden = [&](RolloutController &C) {
-    for (size_t I = 0; I != C.replicaCount(); ++I) {
-      rollout::Replica &R = C.replica(I);
-      if (!R.serving())
-        continue;
-      std::vector<unsigned> Choices = probeChoices(R.service(), Probe);
-      auto It = Golden.find(R.epoch());
-      if (It == Golden.end())
-        Golden.emplace(R.epoch(), std::move(Choices));
-      else if (It->second != Choices)
-        ++GoldenMismatches;
+  auto checkOne = [&](rollout::ServingFollower &R) {
+    if (!R.serving())
+      return;
+    std::vector<unsigned> Choices = probeChoices(R.service(), Probe);
+    auto It = Golden.find(R.epoch());
+    if (It == Golden.end())
+      Golden.emplace(R.epoch(), std::move(Choices));
+    else if (It->second != Choices)
+      ++GoldenMismatches;
+  };
+  auto checkGolden = [&] {
+    checkOne(Ctl->canary());
+    for (rollout::ServingFollower &F : Followers) {
+      (void)F.sync(); // a refused image is counted; the held epoch serves
+      checkOne(F);
     }
   };
-  checkGolden(*Ctl);
+  checkGolden();
 
   // The randomized failpoint schedule. Crash-class points kill the
   // "fleet" mid-protocol (FaultCrash); the harness then restarts it from
@@ -181,10 +191,10 @@ int runRollout(const DriverOptions &Opts) {
       ++Crashes;
       std::fprintf(stderr, "[rollout] cycle %u: %s; restarting fleet\n",
                    Cycle, Crash.what());
-      // The fleet "process" died: throw the controller away with the
+      // The publisher "process" died: throw the controller away with the
       // store directory exactly as the crash left it, and restart.
       support::WallTimer RecoveryTimer;
-      Ctl = std::make_unique<RolloutController>(*E.Program, StoreDir, RO);
+      Ctl = std::make_unique<RolloutController>(*E.Program, StoreDir);
       LoadStatus Resumed = Ctl->resume();
       if (!Resumed) {
         std::fprintf(stderr,
@@ -194,7 +204,7 @@ int runRollout(const DriverOptions &Opts) {
       }
       Recovery.add(RecoveryTimer.elapsedSeconds());
       ++Recoveries;
-      checkGolden(*Ctl);
+      checkGolden();
       continue;
     }
     Inj.reset(); // a non-crash fault may still be armed; clear it
@@ -203,7 +213,7 @@ int runRollout(const DriverOptions &Opts) {
       // Failing fsync / corrupt candidate image: the rollout refused to
       // ship. Nothing durable may have changed for the fleet.
       ++FailedPublishes;
-      checkGolden(*Ctl);
+      checkGolden();
       continue;
     }
     Publish.add(Report.PublishSeconds);
@@ -213,17 +223,16 @@ int runRollout(const DriverOptions &Opts) {
       ++Promoted;
     else
       ++RolledBack;
-    checkGolden(*Ctl);
+    checkGolden();
   }
   Inj.reset();
 
-  // Torn reads: every store image rejected by size/checksum verification
-  // before a good epoch served. Prevented is expected to be nonzero
-  // under --faults; SERVED torn reads (a replica acting on a bad image)
-  // would surface as golden mismatches and must be zero.
-  uint64_t TornPrevented = 0;
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I)
-    TornPrevented += Ctl->replica(I).tornReadsPrevented();
+  // Torn reads: every store image the followers and the canary refused
+  // before a good epoch served. SERVED torn reads (a replica acting on a
+  // bad image) would surface as golden mismatches and must be zero.
+  uint64_t TornPrevented = Ctl->canary().rejected();
+  for (const rollout::ServingFollower &F : Followers)
+    TornPrevented += F.rejected();
 
   std::string J = "{\n";
   J += "  \"benchmark\": \"" + jsonString(E.Name) + "\",\n";
@@ -254,7 +263,6 @@ int runRollout(const DriverOptions &Opts) {
   J += "  \"recovery\": " + Recovery.json() + ",\n";
   J += "  \"current_epoch\": " + std::to_string(Ctl->currentEpoch()) + ",\n";
   J += "  \"torn_reads_prevented\": " + std::to_string(TornPrevented) + ",\n";
-  J += "  \"torn_reads_served\": 0,\n";
   J += "  \"golden_mismatches\": " + std::to_string(GoldenMismatches) + "\n";
   J += "}\n";
   std::fputs(J.c_str(), stdout);

@@ -6,8 +6,6 @@
 
 #include "daemon/ModelRegistry.h"
 
-#include "store/ModelStore.h"
-
 #include <algorithm>
 #include <utility>
 
@@ -17,9 +15,7 @@ namespace daemon {
 namespace {
 
 /// Builds the AdaptiveService for \p Model under \p Opts; shared by the
-/// file path, the store path, and store hot-swaps (a swapped-in epoch
-/// gets a fresh drift monitor and reservoir -- its serving history
-/// starts at the promotion).
+/// file path and the store path.
 std::unique_ptr<runtime::AdaptiveService>
 buildService(const registry::BenchmarkFactory &Factory,
              runtime::TunableProgram &Program, serialize::TrainedModel Model,
@@ -40,11 +36,9 @@ buildService(const registry::BenchmarkFactory &Factory,
 
 } // namespace
 
-serialize::LoadStatus
-ModelRegistry::buildTenant(const std::string &Name,
-                           const std::string &SourceDesc,
-                           serialize::TrainedModel Model,
-                           std::unique_ptr<Tenant> &Out) {
+serialize::LoadStatus ModelRegistry::buildTenant(Tenant &T,
+                                                const std::string &Name,
+                                                serialize::TrainedModel Model) {
   const registry::BenchmarkFactory *Factory =
       registry::BenchmarkRegistry::instance().lookup(Model.Meta.Benchmark);
   if (!Factory)
@@ -52,16 +46,14 @@ ModelRegistry::buildTenant(const std::string &Name,
                                           Model.Meta.Benchmark +
                                           "' is not registered");
 
-  auto T = std::make_unique<Tenant>();
-  T->Name = Name.empty() ? Model.Meta.Benchmark : Name;
-  T->ModelPath = SourceDesc;
-  T->Benchmark = Model.Meta.Benchmark;
-  T->Program = Factory->makeProgram(Model.Meta.Scale, Model.Meta.ProgramSeed);
-  T->Landmarks = static_cast<unsigned>(Model.System.L1.Landmarks.size());
-  T->Service = buildService(*Factory, *T->Program, std::move(Model), Opts);
-  if (!T->Service->ready())
-    return T->Service->status();
-  Out = std::move(T);
+  T.Name = Name.empty() ? Model.Meta.Benchmark : Name;
+  T.Benchmark = Model.Meta.Benchmark;
+  T.Program = Factory->makeProgram(Model.Meta.Scale, Model.Meta.ProgramSeed);
+  T.Landmarks = static_cast<unsigned>(Model.System.L1.Landmarks.size());
+  auto Service = buildService(*Factory, *T.Program, std::move(Model), Opts);
+  if (!Service->ready())
+    return Service->status();
+  T.Service = std::move(Service);
   return serialize::LoadStatus::success();
 }
 
@@ -82,9 +74,9 @@ serialize::LoadStatus ModelRegistry::addTenant(const std::string &Name,
   serialize::LoadStatus Loaded = serialize::loadModelFile(ModelPath, Model);
   if (!Loaded)
     return Loaded;
-  std::unique_ptr<Tenant> T;
-  serialize::LoadStatus Built =
-      buildTenant(Name, ModelPath, std::move(Model), T);
+  auto T = std::make_unique<Tenant>();
+  T->ModelPath = ModelPath;
+  serialize::LoadStatus Built = buildTenant(*T, Name, std::move(Model));
   if (!Built)
     return Built;
   return publishTenant(std::move(T));
@@ -93,23 +85,30 @@ serialize::LoadStatus ModelRegistry::addTenant(const std::string &Name,
 serialize::LoadStatus
 ModelRegistry::addStoreTenant(const std::string &Name,
                               const std::string &StoreDir) {
-  store::VerifiedModel V;
-  serialize::LoadStatus St = store::loadCurrentVerified(StoreDir, V);
+  auto T = std::make_unique<Tenant>();
+  T->ModelPath = StoreDir;
+  Tenant *Raw = T.get();
+  // The first install builds the tenant; every later one is a hot swap.
+  T->Follower = std::make_unique<store::StoreFollower>(
+      StoreDir, [this, Raw, Name](serialize::TrainedModel Model) {
+        if (!Raw->Service)
+          return buildTenant(*Raw, Name, std::move(Model));
+        unsigned Landmarks =
+            static_cast<unsigned>(Model.System.L1.Landmarks.size());
+        // swapModel is the operator-push path: validated against the
+        // bound program, thread-safe against serving workers, no shadow
+        // gate (the store's canary already gated this epoch).
+        serialize::LoadStatus St = Raw->Service->swapModel(std::move(Model));
+        if (St)
+          Raw->Landmarks = Landmarks;
+        return St;
+      });
+  serialize::LoadStatus St = T->Follower->sync();
   if (!St)
     return St;
-  serialize::TrainedModel Model;
-  St = serialize::loadModel(V.Text, Model);
-  if (!St)
-    return serialize::LoadStatus::failure(
-        "store '" + StoreDir + "' epoch " + std::to_string(V.Epoch) + ": " +
-        St.Error);
-  std::unique_ptr<Tenant> T;
-  St = buildTenant(Name, StoreDir, std::move(Model), T);
-  if (!St)
-    return St;
-  T->StoreDir = StoreDir;
-  T->StoreEpoch.store(V.Epoch);
-  T->StoreRejects.store(V.RejectedLoads);
+  if (!T->Service)
+    return serialize::LoadStatus::failure("store '" + StoreDir +
+                                          "' has no promoted epoch yet");
   return publishTenant(std::move(T));
 }
 
@@ -119,59 +118,16 @@ size_t ModelRegistry::pollStores() {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     for (const auto &T : Tenants)
-      if (!T->StoreDir.empty())
+      if (T->Follower)
         Watched.push_back(T.get());
   }
 
   size_t Swapped = 0;
   for (Tenant *T : Watched) {
-    uint64_t Pointed = 0;
-    if (!store::readCurrentPointer(T->StoreDir, Pointed))
-      continue;
-    if (Pointed == 0 || Pointed == T->StoreEpoch.load())
-      continue;
-
-    store::VerifiedModel V;
-    serialize::LoadStatus St = store::loadCurrentVerified(T->StoreDir, V);
-    if (!St) {
-      T->StoreRejects.fetch_add(1);
-      continue; // nothing loadable; keep serving the held epoch
-    }
-    T->StoreRejects.fetch_add(V.RejectedLoads);
-    if (V.Epoch == T->StoreEpoch.load())
-      continue; // fallback converged on what we already serve
-
-    serialize::TrainedModel Model;
-    St = serialize::loadModel(V.Text, Model);
-    if (!St) {
-      T->StoreRejects.fetch_add(1);
-      continue;
-    }
-    // Provenance must match: the tenant's compiled program was built for
-    // the original model's (benchmark, scale, seed); a store that starts
-    // publishing a different program is refused, not served.
-    const serialize::ModelMeta &Now = T->Service->currentEpoch()->Model.Meta;
-    if (Model.Meta.Benchmark != Now.Benchmark ||
-        Model.Meta.Scale != Now.Scale ||
-        Model.Meta.ProgramSeed != Now.ProgramSeed) {
-      T->StoreRejects.fetch_add(1);
-      continue;
-    }
-
-    unsigned Landmarks =
-        static_cast<unsigned>(Model.System.L1.Landmarks.size());
-    // swapModel is the operator-push path: validated against the bound
-    // program, thread-safe against serving workers, no shadow gate (the
-    // store's canary already gated this epoch).
-    St = T->Service->swapModel(std::move(Model));
-    if (!St) {
-      T->StoreRejects.fetch_add(1);
-      continue;
-    }
-    T->StoreEpoch.store(V.Epoch);
-    T->Landmarks = Landmarks;
-    T->StoreSwaps.fetch_add(1);
-    ++Swapped;
+    uint64_t Before = T->Follower->swaps();
+    // A refusal is counted by the follower; the tenant keeps its epoch.
+    (void)T->Follower->sync();
+    Swapped += T->Follower->swaps() != Before;
   }
   return Swapped;
 }

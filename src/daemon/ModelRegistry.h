@@ -28,6 +28,7 @@
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
+#include "store/ModelStore.h"
 
 #include <atomic>
 #include <cstdint>
@@ -52,17 +53,13 @@ struct Tenant {
   std::mutex ServeMutex;
   /// Atomic: store hot-swaps update it while Hello handlers read it.
   std::atomic<unsigned> Landmarks{0};
-  /// Store-backed tenants (addStoreTenant): the watched store directory
-  /// and the store epoch currently serving. Empty/0 for file tenants.
-  /// StoreEpoch is atomic so stats readers race cleanly with the poller.
-  std::string StoreDir;
-  std::atomic<uint64_t> StoreEpoch{0};
+  /// Store tenants only (null for file tenants): follows CURRENT and
+  /// counts store swaps and rejects.
+  std::unique_ptr<store::StoreFollower> Follower;
   // Daemon-side accounting (the service keeps its own decision totals).
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> Decisions{0};
   std::atomic<uint64_t> Batches{0};
-  std::atomic<uint64_t> StoreSwaps{0};
-  std::atomic<uint64_t> StoreRejects{0};
   /// Per-tenant admission refusals and error replies, so dashboards and
   /// quarantine decisions can tell tenants apart (the server also keeps
   /// global totals).
@@ -93,19 +90,16 @@ public:
   serialize::LoadStatus addTenant(const std::string &Name,
                                   const std::string &ModelPath);
 
-  /// Like addTenant, but the model comes from a crash-safe model store
-  /// directory (store/ModelStore.h): the CURRENT epoch is loaded
-  /// checksum-verified (falling back past torn images), and pollStores()
-  /// hot-swaps the tenant whenever a rollout promotes a new epoch.
+  /// Like addTenant, but the tenant follows a crash-safe model store
+  /// directory (store::StoreFollower): it serves the CURRENT epoch, and
+  /// pollStores() hot-swaps it whenever a rollout promotes a new one.
   serialize::LoadStatus addStoreTenant(const std::string &Name,
                                        const std::string &StoreDir);
 
-  /// Polls every store-backed tenant's CURRENT pointer and hot-swaps
-  /// those whose store promoted a new epoch (verified load; a torn or
-  /// corrupt image is rejected and counted, never served). A swap that
-  /// fails provenance/bind leaves the tenant serving its held epoch.
-  /// Returns the number of tenants swapped. Safe to call from the
-  /// daemon's park loop while workers serve.
+  /// Syncs every store tenant's follower; a promoted epoch is swapped in
+  /// through AdaptiveService::swapModel, a refused one leaves the tenant
+  /// on its held epoch. Returns the number of tenants swapped. Safe to
+  /// call from the daemon's park loop while workers serve.
   size_t pollStores();
 
   /// Name lookup (wire path); nullptr when unknown.
@@ -116,10 +110,9 @@ public:
   const ModelRegistryOptions &options() const { return Opts; }
 
 private:
-  serialize::LoadStatus buildTenant(const std::string &Name,
-                                    const std::string &SourceDesc,
-                                    serialize::TrainedModel Model,
-                                    std::unique_ptr<Tenant> &Out);
+  /// Fills \p T's name, program and service from \p Model's provenance.
+  serialize::LoadStatus buildTenant(Tenant &T, const std::string &Name,
+                                    serialize::TrainedModel Model);
   serialize::LoadStatus publishTenant(std::unique_ptr<Tenant> T);
 
   ModelRegistryOptions Opts;

@@ -357,7 +357,7 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
       TenantHealth H;
       H.Name = T->Name;
       H.ServiceEpoch = T->Service->epoch();
-      H.StoreEpoch = T->StoreEpoch.load(std::memory_order_relaxed);
+      H.StoreEpoch = T->Follower ? T->Follower->epoch() : 0;
       Tenants.push_back(std::move(H));
     }
     uint32_t Live;
@@ -561,6 +561,10 @@ std::string Server::statsJson() const {
     J += ", \"swaps\": " + std::to_string(A.Swaps);
     J += ", \"skipped_retrains\": " + std::to_string(A.SkippedRetrains);
     J += ", \"last_skip_reason\": \"" + jsonEscape(A.LastSkipReason) + "\"";
+    const store::StoreFollower *F = T->Follower.get();
+    J += ", \"store_epoch\": " + std::to_string(F ? F->epoch() : 0);
+    J += ", \"store_swaps\": " + std::to_string(F ? F->swaps() : 0);
+    J += ", \"store_rejects\": " + std::to_string(F ? F->rejected() : 0);
     J += "}";
   }
   J += "]}";

@@ -7,7 +7,6 @@
 #include "rollout/RolloutController.h"
 
 #include "runtime/AdaptiveService.h"
-#include "runtime/SubsetProgram.h"
 #include "support/Cost.h"
 #include "support/Random.h"
 
@@ -20,59 +19,20 @@ namespace rollout {
 using serialize::LoadStatus;
 
 //===----------------------------------------------------------------------===//
-// Replica
+// ServingFollower
 //===----------------------------------------------------------------------===//
 
-LoadStatus Replica::adoptText(uint64_t NewEpoch, const std::string &Text) {
-  serialize::TrainedModel Model;
-  LoadStatus St = serialize::loadModel(Text, Model);
-  if (!St) {
-    // A checksum-valid image that fails to parse is corruption the
-    // checksum cannot see (e.g. a bad publisher); refuse it the same way.
-    ++TornPrevented;
-    return LoadStatus::failure("epoch " + std::to_string(NewEpoch) +
-                               " image does not parse: " + St.Error);
-  }
-  auto Next = std::make_unique<runtime::PredictionService>(std::move(Model));
-  St = Next->bind(Program);
-  if (!St)
-    return LoadStatus::failure("epoch " + std::to_string(NewEpoch) +
-                               " does not fit the bound program: " + St.Error);
-  Service = std::move(Next);
-  Epoch = NewEpoch;
-  ++Swaps;
-  return LoadStatus::success();
-}
-
-LoadStatus Replica::sync() {
-  ++Syncs;
-  uint64_t Pointed = 0;
-  LoadStatus St = store::readCurrentPointer(StoreDir, Pointed);
-  if (!St)
-    return St;
-  if (Pointed == 0 || Pointed == Epoch)
-    return LoadStatus::success();
-  store::VerifiedModel V;
-  St = store::loadCurrentVerified(StoreDir, V);
-  if (!St)
-    return St; // nothing loadable; keep serving the held epoch
-  TornPrevented += V.RejectedLoads;
-  if (V.Epoch == Epoch)
-    return LoadStatus::success(); // fallback landed on what we serve
-  return adoptText(V.Epoch, V.Text);
-}
-
-LoadStatus Replica::adopt(uint64_t NewEpoch) {
-  if (NewEpoch == Epoch)
-    return LoadStatus::success();
-  std::string Text;
-  LoadStatus St = store::loadEpochVerified(StoreDir, NewEpoch, Text);
-  if (!St) {
-    ++TornPrevented;
-    return St;
-  }
-  return adoptText(NewEpoch, Text);
-}
+ServingFollower::ServingFollower(const runtime::TunableProgram &Program,
+                                 std::string StoreDir)
+    : StoreFollower(std::move(StoreDir),
+                    [this, P = &Program](serialize::TrainedModel Model) {
+                      auto Next = std::make_unique<runtime::PredictionService>(
+                          std::move(Model));
+                      LoadStatus St = Next->bind(*P);
+                      if (St)
+                        Service = std::move(Next);
+                      return St;
+                    }) {}
 
 //===----------------------------------------------------------------------===//
 // RolloutController
@@ -81,12 +41,8 @@ LoadStatus Replica::adopt(uint64_t NewEpoch) {
 RolloutController::RolloutController(const runtime::TunableProgram &Program,
                                      std::string StoreDir,
                                      RolloutOptions Options)
-    : Program(Program), Store(StoreDir), Opts(Options) {
-  if (Opts.Replicas == 0)
-    Opts.Replicas = 1;
-  for (size_t I = 0; I != Opts.Replicas; ++I)
-    Fleet.push_back(std::make_unique<Replica>(Program, StoreDir));
-
+    : Program(Program), Store(StoreDir), Opts(Options),
+      Canary(Program, StoreDir) {
   // Seeded shadow sample: distinct inputs via partial Fisher-Yates so
   // the canary verdict is reproducible per (seed, program).
   size_t N = Program.numInputs();
@@ -104,32 +60,12 @@ RolloutController::RolloutController(const runtime::TunableProgram &Program,
 }
 
 double RolloutController::shadowScore(runtime::PredictionService &Service) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return shadowScoreLocked(Service);
-}
-
-double
-RolloutController::shadowScoreLocked(runtime::PredictionService &Service) {
   double Total = 0.0;
   for (size_t Input : Sample) {
     runtime::PredictionService::Decision D = Service.decide(Input);
     Total += Program.runOnce(Input, *D.Config).TimeUnits;
   }
   return Sample.empty() ? 0.0 : Total / static_cast<double>(Sample.size());
-}
-
-LoadStatus RolloutController::syncReplicas() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return syncReplicasLocked();
-}
-
-LoadStatus RolloutController::syncReplicasLocked() {
-  for (auto &R : Fleet) {
-    LoadStatus St = R->sync();
-    if (!St)
-      return St;
-  }
-  return LoadStatus::success();
 }
 
 LoadStatus RolloutController::start(const serialize::TrainedModel &Initial) {
@@ -160,7 +96,7 @@ LoadStatus RolloutController::start(const serialize::TrainedModel &Initial) {
     if (!St)
       return St;
   }
-  return syncReplicasLocked();
+  return Canary.sync();
 }
 
 LoadStatus RolloutController::resume() {
@@ -176,7 +112,7 @@ LoadStatus RolloutController::resume() {
     return LoadStatus::failure(
         "store '" + Store.dir() +
         "' has no promoted epoch to resume from (was it ever started?)");
-  return syncReplicasLocked();
+  return Canary.sync();
 }
 
 LoadStatus RolloutController::rollout(serialize::TrainedModel Candidate,
@@ -186,8 +122,8 @@ LoadStatus RolloutController::rollout(serialize::TrainedModel Candidate,
   LoadStatus St = serialize::validateAgainst(Candidate, Program);
   if (!St)
     return St;
-  if (Fleet.empty() || !Fleet[0]->serving())
-    return LoadStatus::failure("fleet is not serving (call start() first)");
+  if (!Canary.serving())
+    return LoadStatus::failure("canary is not serving (call start() first)");
 
   // --- Publish: durable image + manifest record. ---
   support::WallTimer PublishTimer;
@@ -201,33 +137,29 @@ LoadStatus RolloutController::rollout(serialize::TrainedModel Candidate,
   Report.CandidateEpoch = Landed;
   Report.PublishSeconds = PublishTimer.elapsedSeconds();
 
-  // --- Canary: durable transition first, then replica 0 serves it. ---
+  // --- Canary: durable transition first, then the canary serves it. ---
   support::WallTimer CanaryTimer;
   St = Store.setState(Landed, store::EpochState::Canary);
   if (!St)
     return St;
-  Replica &Canary = *Fleet[0];
-  Report.ChampionScore = shadowScoreLocked(Canary.service());
+  Report.ChampionScore = shadowScore(Canary.service());
   St = Canary.adopt(Landed);
   if (!St) {
-    // The candidate image failed verification or parse at the canary:
-    // roll it back durably; the fleet never saw it.
+    // The candidate image was refused at the canary: roll it back
+    // durably; no replica ever saw it.
     Store.rollback(Landed);
     return St;
   }
-  Report.CandidateScore = shadowScoreLocked(Canary.service());
+  Report.CandidateScore = shadowScore(Canary.service());
   bool Promote =
       Report.CandidateScore <=
       Report.ChampionScore * (1.0 + Opts.CanaryMargin);
   Report.CanarySeconds = CanaryTimer.elapsedSeconds();
 
-  // --- Promote fleet-wide, or roll the canary back. ---
+  // --- Promote (the canary already serves it), or roll it back. ---
   support::WallTimer PromoteTimer;
   if (Promote) {
     St = Store.promote(Landed);
-    if (!St)
-      return St;
-    St = syncReplicasLocked();
     if (!St)
       return St;
     Report.Promoted = true;
@@ -235,7 +167,7 @@ LoadStatus RolloutController::rollout(serialize::TrainedModel Candidate,
     St = Store.rollback(Landed);
     if (!St)
       return St;
-    // The canary reverts to the fleet champion (CURRENT is unchanged).
+    // The canary reverts to the champion (CURRENT is unchanged).
     St = Canary.sync();
     if (!St)
       return St;
@@ -271,18 +203,11 @@ Publisher::retrainAndRollout(const std::vector<size_t> &SampleInputs,
 
   // Provenance comes from the serving champion: the candidate is the
   // same benchmark at the same scale, retrained on recent traffic.
-  const serialize::ModelMeta &Meta =
-      Controller.replica(0).service().model().Meta;
-
   serialize::TrainedModel Candidate;
   try {
-    runtime::SubsetProgram View(Program, SampleInputs);
-    core::PipelineOptions Opt = Opts.Retrain;
-    runtime::AdaptiveService::clampRetrainOptions(Opt, SampleInputs.size());
-    core::TrainedSystem Sys = core::trainSystem(View, Opt);
-    Candidate = serialize::makeModel(Meta.Benchmark, Meta.Scale,
-                                     Meta.ProgramSeed, View, std::move(Sys));
-    Candidate.System.Data.reset();
+    Candidate = runtime::retrainCandidate(
+        Program, SampleInputs, Opts.Retrain,
+        Controller.canary().service().model().Meta);
   } catch (const std::exception &E) {
     Why = std::string("candidate retrain failed: ") + E.what();
     return Outcome::NoCandidate;

@@ -6,31 +6,30 @@
 ///
 /// \file
 /// The staged rollout state machine over the crash-safe model store: one
-/// publisher produces candidate epochs, N serving replicas consume them,
-/// and a candidate reaches the fleet only through
+/// publisher produces candidate epochs, serving replicas follow the
+/// store, and a candidate reaches them only through
 ///
 ///   Publish -> Canary -> Promote   (or -> Rollback)
 ///
 /// with every transition durable in the store's MANIFEST before any
-/// replica acts on it. Canarying is real: replica 0 actually serves the
-/// candidate while its live shadow score (mean run cost over a seeded
-/// sample of inputs) is compared against the champion's on the same
-/// sample; only a candidate that holds up is promoted fleet-wide, and a
-/// rollback reverts the canary to the champion it never stopped
-/// trusting.
+/// replica acts on it. Canarying is real: the controller's one
+/// in-process follower, the canary, actually serves the candidate while
+/// its live shadow score (mean run cost over a seeded sample of inputs)
+/// is compared against the champion's on the same sample; only a
+/// candidate that holds up is promoted (CURRENT moves), and a rollback
+/// reverts the canary to the champion it never stopped trusting.
 ///
-/// The fleet is simulated in-process -- each Replica is a
-/// runtime::PredictionService plus the store-reader loop a real serving
-/// process would run -- so the whole state machine is testable under the
-/// randomized fault-injection wall (and TSan: replicas may sync on their
-/// own threads; the store's atomic-rename protocol is the only shared
-/// state). A killed-and-restarted fleet resumes from the MANIFEST:
+/// The canary stays in-process because its shadow score reads decisions
+/// directly. Serving replicas are store followers elsewhere -- pbt-serve
+/// store tenants under a fleet::Supervisor, or ServingFollower objects in
+/// tests and `pbt-bench rollout` -- that pick up a promotion on their
+/// next sync. A killed-and-restarted publisher resumes from the MANIFEST:
 /// ModelStore::open() rolls interrupted promotions forward and demotes
-/// mid-flight candidates, and resume() converges every replica onto the
+/// mid-flight candidates, and resume() puts the canary back on the
 /// surviving CURRENT epoch.
 ///
-/// The Publisher at the bottom is the AdaptiveService-style retrainer
-/// driving the machine: retrain on a traffic sample, then rollout. It
+/// The Publisher at the bottom drives the machine from traffic: retrain
+/// a candidate on a sample (runtime::retrainCandidate), then rollout. It
 /// honors a stop flag (SIGTERM handlers set it) at phase boundaries, so
 /// shutdown mid-shadow-retrain discards the candidate instead of
 /// publishing a partial epoch.
@@ -55,55 +54,23 @@
 namespace pbt {
 namespace rollout {
 
-/// One simulated serving replica: a PredictionService plus the
-/// poll-CURRENT / load-verified / hot-swap loop a real replica runs.
-/// Thread contract: one thread drives a given Replica at a time;
-/// different Replicas are fully independent (the store directory is the
-/// only shared state, and it is reader-safe by atomic rename).
-class Replica {
+/// A store follower that serves through a PredictionService bound to
+/// the program: the rollout canary, and the in-process serving replica
+/// tests and `pbt-bench rollout` sync after each cycle.
+class ServingFollower : public store::StoreFollower {
 public:
-  Replica(const runtime::TunableProgram &Program, std::string StoreDir)
-      : Program(Program), StoreDir(std::move(StoreDir)) {}
+  /// \p Program must outlive the follower.
+  ServingFollower(const runtime::TunableProgram &Program,
+                  std::string StoreDir);
 
-  /// Polls CURRENT; when it names a different epoch than the one served,
-  /// loads it checksum-verified (with fallback) and hot-swaps. A
-  /// rejected image is counted in tornReadsPrevented() and never serves.
-  /// Returns failure only when no good epoch is loadable at all (the
-  /// replica then keeps serving what it has).
-  serialize::LoadStatus sync();
-
-  /// Swaps to a specific epoch image (the canary path; bypasses
-  /// CURRENT). Verified exactly like sync().
-  serialize::LoadStatus adopt(uint64_t Epoch);
-
-  /// Epoch currently serving (0 = none yet).
-  uint64_t epoch() const { return Epoch; }
-  bool serving() const { return Service && Service->ready(); }
+  bool serving() const { return Service != nullptr; }
   runtime::PredictionService &service() { return *Service; }
 
-  /// Store images rejected by size/checksum verification before a good
-  /// epoch loaded -- every one is a torn read that never reached a
-  /// decision. The fault wall asserts serving correctness *despite*
-  /// this being nonzero.
-  uint64_t tornReadsPrevented() const { return TornPrevented; }
-  uint64_t syncCount() const { return Syncs; }
-  uint64_t swapCount() const { return Swaps; }
-
 private:
-  serialize::LoadStatus adoptText(uint64_t Epoch, const std::string &Text);
-
-  const runtime::TunableProgram &Program;
-  std::string StoreDir;
   std::unique_ptr<runtime::PredictionService> Service;
-  uint64_t Epoch = 0;
-  uint64_t TornPrevented = 0;
-  uint64_t Syncs = 0;
-  uint64_t Swaps = 0;
 };
 
 struct RolloutOptions {
-  /// Serving replicas in the simulated fleet (replica 0 is the canary).
-  size_t Replicas = 3;
   /// Inputs in the canary shadow sample (clamped to the program).
   size_t ShadowSample = 24;
   uint64_t ShadowSeed = 0xCA9A23;
@@ -117,22 +84,22 @@ struct RolloutOptions {
 };
 
 /// The publisher-side state machine driver. Owns the single-writer
-/// ModelStore handle and the in-process fleet.
+/// ModelStore handle and the canary.
 class RolloutController {
 public:
-  /// \p Program must outlive the controller; it is the shared traffic
-  /// universe every replica binds (provenance-checked per model).
+  /// \p Program must outlive the controller; it is the traffic universe
+  /// the canary binds and shadow-scores on.
   RolloutController(const runtime::TunableProgram &Program,
                     std::string StoreDir, RolloutOptions Options = {});
 
   /// Opens the store (running crash recovery), seeds it with \p Initial
   /// when empty (publish + immediate promote -- the bootstrap epoch
   /// skips canarying; there is nothing to compare against), and syncs
-  /// every replica onto CURRENT.
+  /// the canary onto CURRENT.
   serialize::LoadStatus start(const serialize::TrainedModel &Initial);
 
   /// The restart path: like start() but never seeds -- a store left
-  /// behind by a killed fleet must already contain the durable truth.
+  /// behind by a killed publisher must already contain the durable truth.
   /// Safe to drive from a fleet::Supervisor's monitor thread while the
   /// publisher is mid-rollout on another: every public transition locks
   /// one internal mutex, so a supervisor-triggered resume (re-running
@@ -148,44 +115,41 @@ public:
     double CandidateScore = 0.0;
     double PublishSeconds = 0.0;
     double CanarySeconds = 0.0; ///< canary swap + shadow scoring + verdict
-    double PromoteSeconds = 0.0; ///< promote/rollback through replica sync
+    /// Durable promote, or rollback plus the canary's revert.
+    double PromoteSeconds = 0.0;
   };
 
-  /// Publish -> Canary (replica 0 serves it, shadow-scored against the
-  /// champion) -> Promote fleet-wide or Rollback. Every transition is
-  /// durable before the fleet moves. The candidate's Meta.Epoch is
-  /// rewritten to the store epoch it lands as, so the image is
-  /// self-describing. Throws support::FaultCrash through from the store
-  /// when a crash failpoint triggers mid-protocol.
+  /// Publish -> Canary (the canary serves it, shadow-scored against the
+  /// champion) -> Promote (CURRENT moves; followers pick it up on their
+  /// next sync) or Rollback. Every transition is durable before any
+  /// replica moves. The candidate's Meta.Epoch is rewritten to the store
+  /// epoch it lands as, so the image is self-describing. Throws
+  /// support::FaultCrash through from the store when a crash failpoint
+  /// triggers mid-protocol.
   serialize::LoadStatus rollout(serialize::TrainedModel Candidate,
                                 CycleReport &Out);
 
-  /// Re-syncs every replica onto the store's CURRENT epoch.
-  serialize::LoadStatus syncReplicas();
-
-  size_t replicaCount() const { return Fleet.size(); }
-  Replica &replica(size_t I) { return *Fleet[I]; }
+  /// The canary: serves the champion between cycles, each candidate
+  /// while it is shadow-scored.
+  ServingFollower &canary() { return Canary; }
   store::ModelStore &modelStore() { return Store; }
   uint64_t currentEpoch() const {
     std::lock_guard<std::mutex> Lock(Mu);
     return Store.currentEpoch();
   }
 
-  /// Mean run cost of serving the shadow sample with \p Service's
-  /// decisions -- the canary comparison metric. Exposed for tests.
-  double shadowScore(runtime::PredictionService &Service);
-
 private:
-  serialize::LoadStatus syncReplicasLocked();
-  double shadowScoreLocked(runtime::PredictionService &Service);
+  /// Mean run cost of serving the shadow sample with \p Service's
+  /// decisions -- the canary comparison metric. Caller holds Mu.
+  double shadowScore(runtime::PredictionService &Service);
 
   const runtime::TunableProgram &Program;
   store::ModelStore Store;
   RolloutOptions Opts;
-  std::vector<std::unique_ptr<Replica>> Fleet;
+  ServingFollower Canary;
   std::vector<size_t> Sample; // seeded shadow-sample inputs
-  /// Serializes start/resume/rollout/syncReplicas across threads: the
-  /// publisher and a supervising monitor may both drive transitions.
+  /// Serializes start/resume/rollout across threads: the publisher and a
+  /// supervising monitor may both drive transitions.
   mutable std::mutex Mu;
 };
 
@@ -195,7 +159,7 @@ private:
 
 struct PublisherOptions {
   /// Pipeline template for candidate retraining; clamped to the sample
-  /// exactly like AdaptiveService's shadow retrain.
+  /// by runtime::retrainCandidate.
   core::PipelineOptions Retrain;
   /// Graceful-shutdown flag (a SIGTERM handler stores true). Checked at
   /// phase boundaries: before retraining, and again between retrain and
@@ -220,9 +184,9 @@ public:
             const runtime::TunableProgram &Program, PublisherOptions Options)
       : Controller(Controller), Program(Program), Opts(std::move(Options)) {}
 
-  /// Retrains a candidate on \p SampleInputs (SubsetProgram over the
-  /// shared universe) and drives one staged rollout with it. \p Why
-  /// explains NoCandidate outcomes.
+  /// Retrains a candidate on \p SampleInputs (runtime::retrainCandidate
+  /// over the shared universe, with the champion's provenance) and drives
+  /// one staged rollout with it. \p Why explains NoCandidate outcomes.
   Outcome retrainAndRollout(const std::vector<size_t> &SampleInputs,
                             RolloutController::CycleReport &Report,
                             std::string &Why);

@@ -256,6 +256,24 @@ void AdaptiveService::clampRetrainOptions(core::PipelineOptions &Opt,
       static_cast<unsigned>(std::max<size_t>(2, TrainCount / 2)));
 }
 
+serialize::TrainedModel
+runtime::retrainCandidate(const TunableProgram &Program,
+                          const std::vector<size_t> &Sample,
+                          core::PipelineOptions Opt,
+                          const serialize::ModelMeta &Champion) {
+  SubsetProgram View(Program, Sample);
+  AdaptiveService::clampRetrainOptions(Opt, Sample.size());
+  core::TrainedSystem Sys = core::trainSystem(View, Opt);
+  serialize::TrainedModel Candidate =
+      serialize::makeModel(Champion.Benchmark, Champion.Scale,
+                           Champion.ProgramSeed, View, std::move(Sys));
+  // The columnar substrate is training-only state; a published epoch
+  // lives as long as serving (and any outstanding Decision) holds it,
+  // so drop the dead weight.
+  Candidate.System.Data.reset();
+  return Candidate;
+}
+
 bool AdaptiveService::adaptNow() {
   assert(Ok && "adaptNow() on a non-ready AdaptiveService");
   // serve() invokes the drift response synchronously at the detection, so
@@ -288,19 +306,10 @@ bool AdaptiveService::adaptNow() {
   support::WallTimer RetrainTimer;
   auto Candidate = std::make_shared<ModelEpoch>();
   try {
-    SubsetProgram View(Program, Sample);
     core::PipelineOptions Opt = Opts.Retrain;
     if (!Opt.Pool)
       Opt.Pool = Opts.Pool;
-    clampRetrainOptions(Opt, Sample.size());
-    core::TrainedSystem Sys = core::trainSystem(View, Opt);
-    Candidate->Model = serialize::makeModel(
-        Ep->Model.Meta.Benchmark, Ep->Model.Meta.Scale,
-        Ep->Model.Meta.ProgramSeed, View, std::move(Sys));
-    // The columnar substrate is training-only state; a published epoch
-    // lives as long as serving (and any outstanding Decision) holds it,
-    // so drop the dead weight before publishing.
-    Candidate->Model.System.Data.reset();
+    Candidate->Model = retrainCandidate(Program, Sample, Opt, Ep->Model.Meta);
     Candidate->Model.Meta.Epoch = Ep->Model.Meta.Epoch + 1;
     Candidate->Compiled = CompiledModel::compile(Candidate->Model);
   } catch (const std::exception &E) {

@@ -273,6 +273,17 @@ private:
   std::atomic<double> CostPaid{0.0}, MonitorCost{0.0};
 };
 
+/// Trains a candidate on \p Sample (indices into \p Program, duplicates
+/// allowed) through a SubsetProgram view, with \p Opt clamped to the
+/// sample by clampRetrainOptions, and stamps it with \p Champion's
+/// provenance; the training-only columnar substrate is dropped. The one
+/// candidate retrain: AdaptiveService::adaptNow and rollout::Publisher
+/// both call it. Throws whatever core::trainSystem throws.
+serialize::TrainedModel retrainCandidate(const TunableProgram &Program,
+                                         const std::vector<size_t> &Sample,
+                                         core::PipelineOptions Opt,
+                                         const serialize::ModelMeta &Champion);
+
 } // namespace runtime
 } // namespace pbt
 

@@ -585,14 +585,6 @@ LoadStatus ModelStore::gc(size_t KeepFinished) {
   return LoadStatus::success();
 }
 
-LoadStatus ModelStore::loadVerified(uint64_t Epoch, std::string &Text) const {
-  const EpochRecord *R = record(Epoch);
-  if (!R)
-    return LoadStatus::failure("epoch " + std::to_string(Epoch) +
-                               " is not in the store");
-  return verifyImage(Dir, *R, Text);
-}
-
 //===----------------------------------------------------------------------===//
 // Readers
 //===----------------------------------------------------------------------===//
@@ -691,6 +683,64 @@ LoadStatus loadEpochVerified(const std::string &Dir, uint64_t Epoch,
       return verifyImage(Dir, R, Text);
   return LoadStatus::failure("epoch " + std::to_string(Epoch) +
                              " is not in the store");
+}
+
+//===----------------------------------------------------------------------===//
+// StoreFollower
+//===----------------------------------------------------------------------===//
+
+LoadStatus StoreFollower::reject(LoadStatus Why) {
+  ++Rejected;
+  return Why;
+}
+
+LoadStatus StoreFollower::install(uint64_t NewEpoch, const std::string &Text) {
+  std::string Where = "store '" + Dir + "' epoch " + std::to_string(NewEpoch);
+  serialize::TrainedModel Model;
+  LoadStatus St = serialize::loadModel(Text, Model);
+  if (!St) // corruption the checksum cannot see, e.g. a bad publisher
+    return reject(LoadStatus::failure(Where + " does not parse: " + St.Error));
+  serialize::ModelMeta Meta = Model.Meta;
+  if (epoch() != 0 && (Meta.Benchmark != Provenance.Benchmark ||
+                       Meta.Scale != Provenance.Scale ||
+                       Meta.ProgramSeed != Provenance.ProgramSeed))
+    return reject(LoadStatus::failure(
+        Where + " was trained for another program (" + Meta.Benchmark +
+        ", scale " + std::to_string(Meta.Scale) + ", seed " +
+        std::to_string(Meta.ProgramSeed) + ")"));
+  St = Install(std::move(Model));
+  if (!St)
+    return reject(LoadStatus::failure(Where + ": " + St.Error));
+  if (Epoch.exchange(NewEpoch) == 0)
+    Provenance = std::move(Meta); // the first install pins provenance
+  else
+    ++Swaps;
+  return LoadStatus::success();
+}
+
+LoadStatus StoreFollower::sync() {
+  uint64_t Pointed = 0;
+  LoadStatus St = readCurrentPointer(Dir, Pointed);
+  if (!St || Pointed == 0 || Pointed == epoch())
+    return St;
+  VerifiedModel V;
+  St = loadCurrentVerified(Dir, V);
+  if (!St)
+    return reject(St);
+  Rejected += V.RejectedLoads;
+  if (V.Epoch == epoch())
+    return LoadStatus::success(); // fallback landed on what we serve
+  return install(V.Epoch, V.Text);
+}
+
+LoadStatus StoreFollower::adopt(uint64_t NewEpoch) {
+  if (NewEpoch == epoch())
+    return LoadStatus::success();
+  std::string Text;
+  LoadStatus St = loadEpochVerified(Dir, NewEpoch, Text);
+  if (!St)
+    return reject(St);
+  return install(NewEpoch, Text);
 }
 
 } // namespace store

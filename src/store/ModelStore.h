@@ -40,11 +40,12 @@
 ///
 /// Concurrency contract: one writer (the publisher owns the ModelStore
 /// object); any number of readers through the stateless functions at the
-/// bottom, safe concurrently with the writer because every visible file
-/// lands by atomic rename. The write paths are instrumented with
-/// support/FaultInject.h failpoints; an injected crash propagates as
-/// support::FaultCrash with the directory left mid-protocol, which is
-/// exactly what the recovery tests feed on.
+/// bottom (serving replicas through a StoreFollower), safe concurrently
+/// with the writer because every visible file lands by atomic rename.
+/// The write paths are instrumented with support/FaultInject.h
+/// failpoints; an injected crash propagates as support::FaultCrash with
+/// the directory left mid-protocol, which is exactly what the recovery
+/// tests feed on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +54,9 @@
 
 #include "serialize/ModelIO.h"
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -152,10 +155,6 @@ public:
   const std::vector<EpochRecord> &records() const { return Records; }
   const EpochRecord *record(uint64_t Epoch) const;
 
-  /// Loads + checksum-verifies one epoch image (no fallback).
-  serialize::LoadStatus loadVerified(uint64_t Epoch,
-                                     std::string &Text) const;
-
 private:
   serialize::LoadStatus writeManifest();
   serialize::LoadStatus writeCurrent(uint64_t Epoch);
@@ -209,6 +208,53 @@ serialize::LoadStatus loadCurrentVerified(const std::string &Dir,
 /// exactly the candidate or not serve it at all.
 serialize::LoadStatus loadEpochVerified(const std::string &Dir,
                                         uint64_t Epoch, std::string &Text);
+
+/// The one store reader that serves: follows CURRENT, loads the epoch it
+/// names verified (loadCurrentVerified), parses it, refuses a model
+/// trained for another program, and hands the rest to the caller's
+/// installer. The daemon's store tenants (daemon/ModelRegistry.h) and the
+/// rollout canary (rollout/RolloutController.h) both follow through it.
+/// Provenance is (benchmark, scale, program seed); the first install
+/// pins it. validateAgainst() cannot stand in: two seeds of one benchmark
+/// share features and a config space. One thread drives sync()/adopt()
+/// at a time; epoch() and the counters are atomics any thread may read.
+class StoreFollower {
+public:
+  /// Puts a verified, parsed, provenance-checked model into serving.
+  using Installer =
+      std::function<serialize::LoadStatus(serialize::TrainedModel)>;
+
+  StoreFollower(std::string Dir, Installer Install)
+      : Dir(std::move(Dir)), Install(std::move(Install)) {}
+  /// Installers hold the address of what they serve through.
+  StoreFollower(const StoreFollower &) = delete;
+  StoreFollower &operator=(const StoreFollower &) = delete;
+
+  /// Installs the epoch CURRENT names when it is not the one served.
+  /// Fails when an image was refused or nothing is loadable; the held
+  /// epoch keeps serving either way.
+  serialize::LoadStatus sync();
+  /// Installs exactly \p Epoch, bypassing CURRENT, without fallback: the
+  /// canary serves the candidate or nothing new.
+  serialize::LoadStatus adopt(uint64_t Epoch);
+
+  /// Store epoch installed (0 = none yet).
+  uint64_t epoch() const { return Epoch.load(); }
+  /// Images refused: torn or missing (each failed fallback step),
+  /// unparsable, foreign provenance, or failed installs.
+  uint64_t rejected() const { return Rejected.load(); }
+  /// Installs that replaced a served epoch (the first is not a swap).
+  uint64_t swaps() const { return Swaps.load(); }
+
+private:
+  serialize::LoadStatus install(uint64_t NewEpoch, const std::string &Text);
+  serialize::LoadStatus reject(serialize::LoadStatus Why);
+
+  std::string Dir;
+  Installer Install;
+  serialize::ModelMeta Provenance;
+  std::atomic<uint64_t> Epoch{0}, Rejected{0}, Swaps{0};
+};
 
 } // namespace store
 } // namespace pbt

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "daemon/ModelRegistry.h"
+#include "daemon/Server.h"
 
 #include "core/Pipeline.h"
 #include "registry/BenchmarkRegistry.h"
@@ -86,8 +87,9 @@ TEST_F(StoreTenantTest, AddStoreTenantServesTheCurrentEpoch) {
   Tenant *T = Reg.find("sorter");
   ASSERT_NE(T, nullptr);
   EXPECT_EQ(T->Benchmark, "sort1");
-  EXPECT_EQ(T->StoreDir, Dir);
-  EXPECT_EQ(T->StoreEpoch.load(), 1u);
+  ASSERT_NE(T->Follower, nullptr);
+  EXPECT_EQ(T->ModelPath, Dir);
+  EXPECT_EQ(T->Follower->epoch(), 1u);
   ASSERT_TRUE(T->Service->ready());
   EXPECT_GT(T->Landmarks.load(), 0u);
 }
@@ -106,20 +108,20 @@ TEST_F(StoreTenantTest, PollSwapsOnPromotionAndIsOtherwiseIdle) {
 
   // No promotion since the tenant loaded: nothing to do.
   EXPECT_EQ(Reg.pollStores(), 0u);
-  EXPECT_EQ(T->StoreSwaps.load(), 0u);
+  EXPECT_EQ(T->Follower->swaps(), 0u);
   uint64_t EpochBefore = T->Service->epoch();
 
   // The trainer side promotes epoch 2; the next poll hot-swaps.
   publishAndPromote(modelBytes("sort1"));
   EXPECT_EQ(Reg.pollStores(), 1u);
-  EXPECT_EQ(T->StoreEpoch.load(), 2u);
-  EXPECT_EQ(T->StoreSwaps.load(), 1u);
+  EXPECT_EQ(T->Follower->epoch(), 2u);
+  EXPECT_EQ(T->Follower->swaps(), 1u);
   EXPECT_GT(T->Service->epoch(), EpochBefore); // service epoch bumped
   EXPECT_TRUE(T->Service->ready());
 
   // Idempotent again after convergence.
   EXPECT_EQ(Reg.pollStores(), 0u);
-  EXPECT_EQ(T->StoreSwaps.load(), 1u);
+  EXPECT_EQ(T->Follower->swaps(), 1u);
 }
 
 TEST_F(StoreTenantTest, ProvenanceWallRejectsAForeignModel) {
@@ -132,10 +134,53 @@ TEST_F(StoreTenantTest, ProvenanceWallRejectsAForeignModel) {
   // pointed at the wrong directory). The tenant must keep its epoch.
   publishAndPromote(modelBytes("binpacking"));
   EXPECT_EQ(Reg.pollStores(), 0u);
-  EXPECT_EQ(T->StoreEpoch.load(), 1u);
-  EXPECT_EQ(T->StoreRejects.load(), 1u);
+  EXPECT_EQ(T->Follower->epoch(), 1u);
+  EXPECT_EQ(T->Follower->rejected(), 1u);
   EXPECT_EQ(T->Benchmark, "sort1");
   EXPECT_TRUE(T->Service->ready());
+}
+
+TEST_F(StoreTenantTest, StoreCountersSurfaceInStatsJson) {
+  publishAndPromote(modelBytes("sort1"));
+  std::string FilePath = Dir + "-model.pbt";
+  {
+    std::ofstream Out(FilePath, std::ios::binary);
+    Out << modelBytes("binpacking");
+  }
+  ModelRegistry Reg;
+  ASSERT_TRUE(Reg.addStoreTenant("sorter", Dir).Ok);
+  ASSERT_TRUE(Reg.addTenant("packer", FilePath).Ok);
+
+  // One promotion the tenant takes, then one it refuses (foreign
+  // provenance): epoch 2, one swap, one reject.
+  publishAndPromote(modelBytes("sort1"));
+  EXPECT_EQ(Reg.pollStores(), 1u);
+  publishAndPromote(modelBytes("binpacking"));
+  EXPECT_EQ(Reg.pollStores(), 0u);
+
+  daemon::ServerOptions SO;
+  SO.SocketPath = Dir + ".sock";
+  daemon::Server Srv(Reg, SO); // never started: statsJson reads counters
+  std::string Json = Srv.statsJson();
+  size_t Sorter = Json.find("\"name\": \"sorter\"");
+  size_t Packer = Json.find("\"name\": \"packer\"");
+  ASSERT_NE(Sorter, std::string::npos) << Json;
+  ASSERT_NE(Packer, std::string::npos) << Json;
+  ASSERT_LT(Sorter, Packer) << Json; // tenants in registration order
+  std::string SorterJson = Json.substr(Sorter, Packer - Sorter);
+  std::string PackerJson = Json.substr(Packer);
+  EXPECT_NE(SorterJson.find("\"store_epoch\": 2,"), std::string::npos)
+      << SorterJson;
+  EXPECT_NE(SorterJson.find("\"store_swaps\": 1,"), std::string::npos)
+      << SorterJson;
+  EXPECT_NE(SorterJson.find("\"store_rejects\": 1}"), std::string::npos)
+      << SorterJson;
+  // File tenants report zeros.
+  EXPECT_NE(PackerJson.find("\"store_epoch\": 0, \"store_swaps\": 0, "
+                            "\"store_rejects\": 0}"),
+            std::string::npos)
+      << PackerJson;
+  std::filesystem::remove(FilePath);
 }
 
 TEST_F(StoreTenantTest, FileAndStoreTenantsCoexist) {
@@ -153,8 +198,8 @@ TEST_F(StoreTenantTest, FileAndStoreTenantsCoexist) {
   // pollStores leaves file tenants alone.
   publishAndPromote(modelBytes("sort1"));
   EXPECT_EQ(Reg.pollStores(), 1u);
-  EXPECT_EQ(Reg.find("packer")->StoreSwaps.load(), 0u);
-  EXPECT_EQ(Reg.find("sorter")->StoreEpoch.load(), 2u);
+  EXPECT_EQ(Reg.find("packer")->Follower, nullptr);
+  EXPECT_EQ(Reg.find("sorter")->Follower->epoch(), 2u);
   std::filesystem::remove(FilePath);
 }
 

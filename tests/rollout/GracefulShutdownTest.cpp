@@ -82,7 +82,6 @@ protected:
     std::filesystem::remove_all(Dir);
 
     rollout::RolloutOptions RO;
-    RO.Replicas = 2;
     RO.ShadowSample = 8;
     Ctl = std::make_unique<RolloutController>(*Program, Dir, RO);
     ASSERT_TRUE(Ctl->start(cloneModel(modelBytes())).Ok);
@@ -155,9 +154,12 @@ TEST_F(GracefulShutdownTest, SigtermMidRetrainPublishesNothing) {
   EXPECT_EQ(After.Current, Before.Current);
   EXPECT_EQ(After.Epochs, Before.Epochs);
   EXPECT_EQ(After.Files, Before.Files);
-  // And the fleet never blinked.
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I)
-    EXPECT_EQ(Ctl->replica(I).epoch(), 1u);
+  // And the fleet never blinked: the canary and a replica following the
+  // store both serve epoch 1.
+  EXPECT_EQ(Ctl->canary().epoch(), 1u);
+  rollout::ServingFollower Follower(*Program, Dir);
+  ASSERT_TRUE(Follower.sync().Ok);
+  EXPECT_EQ(Follower.epoch(), 1u);
 }
 
 TEST_F(GracefulShutdownTest, StopAlreadySetSkipsTheRetrainEntirely) {

@@ -4,9 +4,10 @@
 // bootstrap seeding, canary-gated promotion of an equal candidate,
 // rollback of a degraded one (with the canary reverting to the champion
 // it never stopped trusting), resume after a fleet kill, and the
-// provenance/validation walls at the edges. The store-level crash
-// windows live in tests/store/; this file is about the machine above
-// them.
+// provenance/validation walls at the edges. Serving replicas are store
+// followers the test owns and syncs after each cycle, the way pbt-serve
+// store tenants follow the store. The store-level crash windows live in
+// tests/store/; this file is about the machine above them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +26,13 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
 using namespace pbt;
 using rollout::RolloutController;
+using rollout::ServingFollower;
 
 namespace {
 
@@ -81,13 +84,22 @@ protected:
     std::filesystem::remove_all(Dir);
   }
 
-  std::unique_ptr<RolloutController> makeStarted(size_t Replicas = 3) {
+  std::unique_ptr<RolloutController> makeStarted() {
     rollout::RolloutOptions RO;
-    RO.Replicas = Replicas;
     RO.ShadowSample = 8;
     auto Ctl = std::make_unique<RolloutController>(*Program, Dir, RO);
     EXPECT_TRUE(Ctl->start(cloneModel(modelBytes())).Ok);
     return Ctl;
+  }
+
+  /// \p N serving replicas following the store, synced onto CURRENT.
+  std::vector<std::unique_ptr<ServingFollower>> syncedFollowers(size_t N) {
+    std::vector<std::unique_ptr<ServingFollower>> Out;
+    for (size_t I = 0; I != N; ++I) {
+      Out.push_back(std::make_unique<ServingFollower>(*Program, Dir));
+      EXPECT_TRUE(Out.back()->sync().Ok) << "follower " << I;
+    }
+    return Out;
   }
 
   registry::ProgramPtr Program;
@@ -97,8 +109,12 @@ protected:
 TEST_F(RolloutTest, StartSeedsTheBootstrapEpochFleetWide) {
   auto Ctl = makeStarted();
   EXPECT_EQ(Ctl->currentEpoch(), 1u);
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I) {
-    rollout::Replica &R = Ctl->replica(I);
+  auto Followers = syncedFollowers(2);
+  std::vector<ServingFollower *> Fleet = {&Ctl->canary()};
+  for (auto &F : Followers)
+    Fleet.push_back(F.get());
+  for (size_t I = 0; I != Fleet.size(); ++I) {
+    ServingFollower &R = *Fleet[I];
     ASSERT_TRUE(R.serving()) << "replica " << I;
     EXPECT_EQ(R.epoch(), 1u);
     // The image is self-describing: Meta.Epoch matches the store epoch
@@ -116,6 +132,7 @@ TEST_F(RolloutTest, StartSeedsTheBootstrapEpochFleetWide) {
 
 TEST_F(RolloutTest, EqualCandidatePromotesThroughTheCanary) {
   auto Ctl = makeStarted();
+  auto Followers = syncedFollowers(2);
   RolloutController::CycleReport Report;
   ASSERT_TRUE(Ctl->rollout(cloneModel(modelBytes()), Report).Ok);
 
@@ -127,9 +144,13 @@ TEST_F(RolloutTest, EqualCandidatePromotesThroughTheCanary) {
   EXPECT_GT(Report.ChampionScore, 0.0);
 
   EXPECT_EQ(Ctl->currentEpoch(), 2u);
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I) {
-    EXPECT_EQ(Ctl->replica(I).epoch(), 2u);
-    EXPECT_EQ(Ctl->replica(I).service().model().Meta.Epoch, 2u);
+  EXPECT_EQ(Ctl->canary().epoch(), 2u);
+  EXPECT_EQ(Ctl->canary().service().model().Meta.Epoch, 2u);
+  for (auto &F : Followers) {
+    EXPECT_EQ(F->epoch(), 1u); // not yet synced
+    ASSERT_TRUE(F->sync().Ok);
+    EXPECT_EQ(F->epoch(), 2u);
+    EXPECT_EQ(F->service().model().Meta.Epoch, 2u);
   }
   EXPECT_EQ(Ctl->modelStore().record(2)->State, store::EpochState::Active);
   EXPECT_EQ(Ctl->modelStore().record(1)->State, store::EpochState::Retired);
@@ -137,6 +158,7 @@ TEST_F(RolloutTest, EqualCandidatePromotesThroughTheCanary) {
 
 TEST_F(RolloutTest, DegradedCandidateRollsBackAndTheCanaryReverts) {
   auto Ctl = makeStarted();
+  auto Followers = syncedFollowers(2);
   RolloutController::CycleReport Report;
   ASSERT_TRUE(Ctl->rollout(degradedModel(), Report).Ok);
 
@@ -147,9 +169,13 @@ TEST_F(RolloutTest, DegradedCandidateRollsBackAndTheCanaryReverts) {
             store::EpochState::RolledBack);
   // The canary served the candidate during scoring but reverted: the
   // whole fleet is back on the champion.
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I)
-    EXPECT_EQ(Ctl->replica(I).epoch(), 1u);
-  EXPECT_GT(Ctl->replica(0).swapCount(), Ctl->replica(1).swapCount());
+  EXPECT_EQ(Ctl->canary().epoch(), 1u);
+  for (auto &F : Followers) {
+    ASSERT_TRUE(F->sync().Ok);
+    EXPECT_EQ(F->epoch(), 1u);
+  }
+  EXPECT_EQ(Ctl->canary().swaps(), 2u); // to the candidate and back
+  EXPECT_EQ(Followers[0]->swaps(), 0u);
 }
 
 TEST_F(RolloutTest, ResumeConvergesAKilledFleetOntoCurrent) {
@@ -160,14 +186,14 @@ TEST_F(RolloutTest, ResumeConvergesAKilledFleetOntoCurrent) {
     ASSERT_EQ(Ctl->currentEpoch(), 2u);
     // The fleet dies here (handles dropped, store directory survives).
   }
-  rollout::RolloutOptions RO;
-  RO.Replicas = 2;
-  RolloutController Restarted(*Program, Dir, RO);
+  RolloutController Restarted(*Program, Dir);
   ASSERT_TRUE(Restarted.resume().Ok);
   EXPECT_EQ(Restarted.currentEpoch(), 2u);
-  for (size_t I = 0; I != Restarted.replicaCount(); ++I) {
-    ASSERT_TRUE(Restarted.replica(I).serving());
-    EXPECT_EQ(Restarted.replica(I).epoch(), 2u);
+  ASSERT_TRUE(Restarted.canary().serving());
+  EXPECT_EQ(Restarted.canary().epoch(), 2u);
+  for (auto &F : syncedFollowers(2)) {
+    ASSERT_TRUE(F->serving());
+    EXPECT_EQ(F->epoch(), 2u);
   }
 }
 
@@ -194,11 +220,41 @@ TEST_F(RolloutTest, StartValidatesTheSeedAgainstTheProgram) {
 
 TEST_F(RolloutTest, CanaryAdoptRefusesAnUnknownEpoch) {
   auto Ctl = makeStarted();
-  rollout::Replica &Canary = Ctl->replica(0);
-  uint64_t Before = Canary.tornReadsPrevented();
+  ServingFollower &Canary = Ctl->canary();
+  uint64_t Before = Canary.rejected();
   EXPECT_FALSE(Canary.adopt(99).Ok);
-  EXPECT_EQ(Canary.tornReadsPrevented(), Before + 1);
+  EXPECT_EQ(Canary.rejected(), Before + 1);
   EXPECT_EQ(Canary.epoch(), 1u); // still serving the champion
+}
+
+TEST_F(RolloutTest, ResumeRefusesAForeignProgramsEpoch) {
+  auto Ctl = makeStarted();
+  uint64_t Before = Ctl->canary().rejected();
+
+  // A trainer for another program (same benchmark and scale, different
+  // input seed) promotes straight through the store, past rollout()'s
+  // validation, while this publisher is idle. Features and config space
+  // match, so only provenance tells the image apart.
+  serialize::TrainedModel Foreign = cloneModel(modelBytes());
+  Foreign.Meta.ProgramSeed += 1;
+  Foreign.Meta.Epoch = 2;
+  {
+    store::ModelStore Writer(Dir);
+    ASSERT_TRUE(Writer.open().Ok);
+    uint64_t Landed = 0;
+    ASSERT_TRUE(
+        Writer.publish(serialize::serializeModel(Foreign), Landed).Ok);
+    ASSERT_EQ(Landed, 2u);
+    ASSERT_TRUE(Writer.promote(Landed).Ok);
+  }
+
+  serialize::LoadStatus St = Ctl->resume();
+  EXPECT_FALSE(St.Ok);
+  EXPECT_NE(St.Error.find("another program"), std::string::npos) << St.Error;
+  EXPECT_EQ(Ctl->canary().epoch(), 1u); // keeps serving the champion
+  EXPECT_EQ(Ctl->canary().service().model().Meta.ProgramSeed,
+            cloneModel(modelBytes()).Meta.ProgramSeed);
+  EXPECT_EQ(Ctl->canary().rejected(), Before + 1);
 }
 
 } // namespace

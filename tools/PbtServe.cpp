@@ -277,18 +277,24 @@ int main(int argc, char **argv) {
   // a signal lands. Polling keeps the signal handler async-signal-safe
   // (it only stores a flag). Store-backed tenants piggyback on the park
   // loop: every --store-poll-ms the registry checks each watched store's
-  // CURRENT pointer and hot-swaps promoted epochs.
-  unsigned TicksPerPoll = std::max(1u, StorePollMs / 50);
-  for (uint64_t Tick = 1; Srv.running() && !GSignalled.load(); ++Tick) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    if (!Stores.empty() && Tick % TicksPerPoll == 0) {
-      size_t Swapped = Registry.pollStores();
-      if (Swapped > 0) {
-        std::fprintf(stderr, "pbt-serve: hot-swapped %zu tenant%s onto newly "
-                             "promoted store epochs\n",
-                     Swapped, Swapped == 1 ? "" : "s");
-        std::fflush(stderr);
-      }
+  // CURRENT pointer and hot-swaps promoted epochs. The loop wakes at
+  // least every 50 ms to notice a stop, and at the poll deadline.
+  using Clock = std::chrono::steady_clock;
+  const auto PollPeriod = std::chrono::milliseconds(StorePollMs);
+  Clock::time_point NextPoll =
+      Stores.empty() ? Clock::time_point::max() : Clock::now() + PollPeriod;
+  while (Srv.running() && !GSignalled.load()) {
+    std::this_thread::sleep_until(
+        std::min(Clock::now() + std::chrono::milliseconds(50), NextPoll));
+    if (Clock::now() < NextPoll)
+      continue;
+    NextPoll = Clock::now() + PollPeriod;
+    size_t Swapped = Registry.pollStores();
+    if (Swapped > 0) {
+      std::fprintf(stderr, "pbt-serve: hot-swapped %zu tenant%s onto newly "
+                           "promoted store epochs\n",
+                   Swapped, Swapped == 1 ? "" : "s");
+      std::fflush(stderr);
     }
   }
 
