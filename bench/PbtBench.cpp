@@ -64,8 +64,8 @@ static void printUsage() {
       "                       replay through the daemon model registry\n"
       "  interact             input-vs-config interaction-strength sweep;\n"
       "                       BENCH_interact.json report\n"
-      "  trainbench           training-performance report: fast vs\n"
-      "                       pre-optimisation path, byte-identity gated\n"
+      "  trainbench           training-time report: best-of passes of\n"
+      "                       trainSystem per benchmark (JSON)\n"
       "  loadgen              drive a pbt-serve daemon over N concurrent\n"
       "                       connections; BENCH_serve_daemon.json report\n"
       "  rollout              staged fleet-rollout harness over the crash-\n"
@@ -90,7 +90,7 @@ static void printUsage() {
       "                       (serve accepts a comma-separated list)\n"
       "  --rows=WHICH         predict/serve: test|train|all recorded rows\n"
       "  --repeat=N           predict: passes over the rows (memo check);\n"
-      "                       trainbench: timing passes per path (best-of)\n"
+      "                       trainbench: timing passes (best-of)\n"
       "  --csv=FILE           predict: write per-input decisions as CSV\n"
       "  --batch=N            serve: decisions per decideBatch call\n"
       "  --seconds=S          serve: wall-clock budget per phase;\n"
@@ -123,8 +123,9 @@ static void printUsage() {
       "  --replicas=N         rollout: store followers beside the canary;\n"
       "                       fleet: pbt-serve replicas (default 3)\n"
       "  --cycles=N           rollout: staged rollout cycles (default 8)\n"
-      "  --faults             rollout: arm one randomized failpoint per\n"
-      "                       cycle (crash/corruption injection)\n"
+      "  --faults             rollout: arm one randomized failpoint on\n"
+      "                       cycles 2-3 of every four (crash/corruption\n"
+      "                       injection; exits 1 if nothing promotes)\n"
       "  --fault-seed=N       rollout: failpoint-schedule seed\n"
       "  --chaos              fleet: SIGKILL random replicas mid-load and\n"
       "                       assert parity/no-loss/reconvergence\n"

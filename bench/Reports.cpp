@@ -938,17 +938,6 @@ int benchharness::runServe(const DriverOptions &Opts) {
 // trainbench
 //===----------------------------------------------------------------------===//
 
-/// Flips every exactness-preserving training optimisation this PR
-/// introduced. The "legacy" configuration reproduces the pre-optimisation
-/// path: physical sort kernels (no simulation, no run memo), re-evaluated
-/// autotuner candidates, duplicate measurement sweeps, and the row-major
-/// Level-2 zoo.
-static void applyTrainingPathMode(core::PipelineOptions &Opt, bool Fast) {
-  Opt.L1.Tuner.Memoize = Fast;
-  Opt.L1.DedupMeasurementSweep = Fast;
-  Opt.L2.UseDataset = Fast;
-}
-
 int benchharness::runTrainBench(const DriverOptions &Opts) {
   // Factory names only -- every timing pass constructs its own fresh
   // program, so materialising a suite's programs up front (suiteFor)
@@ -960,60 +949,38 @@ int benchharness::runTrainBench(const DriverOptions &Opts) {
 
   struct BenchRow {
     std::string Name;
-    double LegacySeconds = 0.0;
-    double FastSeconds = 0.0;
-    bool BytesMatch = false;
+    double Seconds = 1e300;
     std::string Selected;
     size_t ModelBytes = 0;
   };
   std::vector<BenchRow> Results;
-  bool AllMatch = true;
 
   for (const std::string &Name : Names) {
     const registry::BenchmarkFactory &F =
         registry::BenchmarkRegistry::instance().get(Name);
     BenchRow Row;
     Row.Name = Name;
-    double Best[2] = {1e300, 1e300};
-    std::string Bytes[2];
-    // Interleaved passes, best-of: alternating legacy/fast inside each
-    // repeat cancels the machine's slow drift; a fresh program per pass
-    // keeps the sort-kernel run memo cold, so "fast" is a from-scratch
-    // training time, not a warm-cache replay.
+    // Best-of passes; a fresh program per pass keeps the sort-kernel run
+    // memo cold, so the time is a from-scratch training run, not a
+    // warm-cache replay.
     for (unsigned R = 0; R != Repeat; ++R) {
-      for (int Mode = 0; Mode != 2; ++Mode) {
-        bool Fast = Mode == 1;
-        bench::setSortSimulation(Fast);
-        registry::ProgramPtr Program =
-            F.makeProgram(Opts.Scale, F.defaultProgramSeed());
-        core::PipelineOptions Opt = F.defaultOptions(Opts.Scale);
-        Opt.Pool = Opts.Pool;
-        applyTrainingPathMode(Opt, Fast);
-        support::WallTimer T;
-        core::TrainedSystem Sys = core::trainSystem(*Program, Opt);
-        Best[Mode] = std::min(Best[Mode], T.elapsedSeconds());
-        if (R == 0) {
-          serialize::TrainedModel Model = serialize::makeModel(
-              Name, Opts.Scale, F.defaultProgramSeed(), *Program,
-              std::move(Sys));
-          Bytes[Mode] = serialize::serializeModel(Model);
-          if (Fast)
-            Row.Selected = Model.System.L2.SelectedName;
-        }
+      registry::ProgramPtr Program =
+          F.makeProgram(Opts.Scale, F.defaultProgramSeed());
+      core::PipelineOptions Opt = F.defaultOptions(Opts.Scale);
+      Opt.Pool = Opts.Pool;
+      support::WallTimer T;
+      core::TrainedSystem Sys = core::trainSystem(*Program, Opt);
+      Row.Seconds = std::min(Row.Seconds, T.elapsedSeconds());
+      if (R == 0) {
+        serialize::TrainedModel Model = serialize::makeModel(
+            Name, Opts.Scale, F.defaultProgramSeed(), *Program, std::move(Sys));
+        Row.ModelBytes = serialize::serializeModel(Model).size();
+        Row.Selected = Model.System.L2.SelectedName;
       }
     }
-    bench::setSortSimulation(true);
-    Row.LegacySeconds = Best[0];
-    Row.FastSeconds = Best[1];
-    Row.BytesMatch = Bytes[0] == Bytes[1];
-    Row.ModelBytes = Bytes[1].size();
-    AllMatch = AllMatch && Row.BytesMatch;
-    std::fprintf(stderr,
-                 "[trainbench] %-12s legacy %.3fs  fast %.3fs  %.2fx  %s\n",
-                 Name.c_str(), Row.LegacySeconds, Row.FastSeconds,
-                 Row.FastSeconds > 0.0 ? Row.LegacySeconds / Row.FastSeconds
-                                       : 0.0,
-                 Row.BytesMatch ? "bytes-identical" : "BYTE MISMATCH");
+    std::fprintf(stderr, "[trainbench] %-12s %.3fs  %zu bytes  %s\n",
+                 Name.c_str(), Row.Seconds, Row.ModelBytes,
+                 Row.Selected.c_str());
     Results.push_back(std::move(Row));
   }
 
@@ -1031,14 +998,9 @@ int benchharness::runTrainBench(const DriverOptions &Opts) {
                      "  \"benchmarks\": [";
   for (size_t I = 0; I != Results.size(); ++I) {
     const BenchRow &Row = Results[I];
-    double Speedup =
-        Row.FastSeconds > 0.0 ? Row.LegacySeconds / Row.FastSeconds : 0.0;
     Json += std::string(I ? "," : "") + "\n    {\"benchmark\": \"" +
             jsonString(Row.Name) + "\"" +
-            ", \"legacy_train_seconds\": " + jsonNumber(Row.LegacySeconds) +
-            ", \"train_seconds\": " + jsonNumber(Row.FastSeconds) +
-            ", \"speedup\": " + jsonNumber(Speedup) +
-            ", \"bytes_match\": " + (Row.BytesMatch ? "true" : "false") +
+            ", \"train_seconds\": " + jsonNumber(Row.Seconds) +
             ", \"model_bytes\": " + std::to_string(Row.ModelBytes) +
             ", \"selected_classifier\": \"" + jsonString(Row.Selected) +
             "\"}";
@@ -1059,7 +1021,7 @@ int benchharness::runTrainBench(const DriverOptions &Opts) {
     }
     std::fclose(Out);
   }
-  return AllMatch ? 0 : 1;
+  return 0;
 }
 
 //===----------------------------------------------------------------------===//

@@ -104,7 +104,8 @@ struct DriverOptions {
   unsigned Replicas = 3;
   /// `rollout` only: publish/canary/promote cycles to drive (--cycles).
   unsigned Cycles = 8;
-  /// `rollout` only: inject a randomized failpoint each cycle (--faults).
+  /// `rollout` only: inject a randomized failpoint on cycles 2-3 of
+  /// every four (--faults).
   bool Faults = false;
   /// `rollout` only: failpoint-schedule seed (--fault-seed).
   uint64_t FaultSeed = 0xFA117;
@@ -161,15 +162,12 @@ int runPredict(const DriverOptions &Opts);
 /// machine-readable JSON (stdout; also OutDir/BENCH_serve.json with
 /// --json).
 int runServe(const DriverOptions &Opts);
-/// `trainbench`: the training-performance harness. For each suite entry
-/// it times `Pipeline::train` end to end on the pre-optimisation
-/// reference path (physical sort kernels, no autotuner memo, no
-/// measurement dedup, row-major Level 2) and on the default fast path
-/// (charge-exact kernel simulation + run memo, memoized tuning, columnar
-/// ml::Dataset Level 2), interleaved best-of `--repeat` passes, and
-/// verifies the two paths' serialized models are byte-identical -- the
-/// refactor changes how training computes, never what it computes. Exits
-/// nonzero on any byte mismatch. JSON to stdout; also
+/// `trainbench`: the training-time report. For each suite entry it times
+/// `core::trainSystem` end to end, best-of `--repeat` passes on a fresh
+/// program each, and reports the serialized model size, the selected
+/// classifier and the sort-kernel run-memo hit counts. A timing record
+/// only: model bytes are pinned by the golden retrain tests and the
+/// perfbench train_suite fingerprints. JSON to stdout; also
 /// OutDir/BENCH_train.json with --json.
 int runTrainBench(const DriverOptions &Opts);
 /// `stream`: the nonstationary-traffic harness. Loads a model, replays a
@@ -218,8 +216,8 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0);
 /// canary -> promote/rollback) through a RolloutController, syncing
 /// --replicas in-process store followers after each cycle, alternating
 /// clone candidates (equal shadow score: promote) with landmark-rotated
-/// degraded candidates (worse: rollback). With --faults each cycle arms
-/// one randomized failpoint (torn write, crash-before-rename,
+/// degraded candidates (worse: rollback). With --faults cycles 2-3 of
+/// every four arm one randomized failpoint (torn write, crash-before-rename,
 /// crash-before-manifest, crash-between-manifest-and-CURRENT, checksum
 /// corruption, failing fsync); an injected crash kills the fleet
 /// mid-protocol, and the harness restarts it from the store, timing
@@ -228,7 +226,9 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0);
 /// publish/canary/promote latency, recovery time, images the followers
 /// and the canary refused (torn_reads_prevented) and golden mismatches
 /// as JSON (stdout; also OutDir/BENCH_rollout.json with --json). Any
-/// golden divergence or failed recovery is a nonzero exit.
+/// golden divergence or failed recovery is a nonzero exit, and so is a
+/// --faults run of four or more cycles that promoted nothing (cycles 0-1
+/// of every four run clean, so a promotion is always due).
 int runRollout(const DriverOptions &Opts);
 /// `fleet`: the supervised cross-process serving-fleet harness. Trains
 /// one model, seeds a crash-safe model store, fork/execs --replicas

@@ -176,7 +176,11 @@ int runRollout(const DriverOptions &Opts) {
                   Candidate.System.L1.Landmarks.begin() + 1,
                   Candidate.System.L1.Landmarks.end());
 
-    if (Opts.Faults) {
+    // Faults arm on cycles 2-3 of every four: most failpoints sit on the
+    // promote path, so arming every cycle would leave no clean promotion
+    // to time. Cycles 0-1 of each block run one clean promote and one
+    // clean rollback.
+    if (Opts.Faults && (Cycle / 2) % 2 == 1) {
       FaultPoint P = Schedule[FaultRng.index(std::size(Schedule))];
       // Hit 0 or 1: the same point fires on the image write or on the
       // manifest write behind it, widening the crash surface.
@@ -290,6 +294,12 @@ int runRollout(const DriverOptions &Opts) {
   if (Crashes != Recoveries) {
     std::fprintf(stderr, "pbt-bench rollout: %u crashes but %u recoveries\n",
                  Crashes, Recoveries);
+    return 1;
+  }
+  if (Opts.Faults && Opts.Cycles >= 4 && Promoted == 0) {
+    std::fprintf(stderr, "pbt-bench rollout: %u faulted cycles promoted "
+                         "nothing -- the clean cycles must promote\n",
+                 Opts.Cycles);
     return 1;
   }
   return 0;

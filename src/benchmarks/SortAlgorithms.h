@@ -12,6 +12,16 @@
 /// PetaBricks. All algorithms charge comparisons and element moves to the
 /// deterministic cost model.
 ///
+/// The kernels are charge-exact simulations: the pipeline consumes only
+/// the cost charges and the sorted output of a run, so where a kernel's
+/// physical execution is asymptotically slower than its *accounting*,
+/// the charges come from a cheaper exact formula (insertion sort via
+/// inversion counting, quicksort's sorted-range degeneration in closed
+/// form, radix passes whose byte is constant, a heap-driven k-way merge)
+/// and the output from an equivalent sort. Charges and output bytes are
+/// identical to the textbook physical execution; SortSimulationTest
+/// holds that physical execution as its oracle.
+///
 /// QuickSort deliberately uses a first-element pivot, preserving the
 /// classic pathological behaviour on sorted and heavily duplicated inputs
 /// that the paper cites as a source of input sensitivity.
@@ -40,21 +50,6 @@ enum class SortAlgo : unsigned {
   Bitonic = 4,
 };
 inline constexpr unsigned NumSortAlgos = 5;
-
-/// Charge-exact simulation mode for the sort kernels (default: enabled).
-///
-/// The pipeline consumes only the deterministic cost charges and the
-/// sorted output of a run, so kernels whose physical execution is
-/// asymptotically slower than their *accounting* can be simulated: the
-/// charges are computed by a cheaper exact formula (insertion sort via
-/// inversion counting, quicksort's sorted-range degeneration in closed
-/// form) and the output produced by an equivalent sort. Charges and
-/// output bytes are identical to the physical execution -- pinned by
-/// SortSimulationParity tests and the golden retrain suite. Disabling
-/// restores the physical reference path (used by parity tests and the
-/// `pbt-bench trainbench` pre-optimisation baseline).
-bool sortSimulationEnabled();
-void setSortSimulation(bool Enabled);
 
 /// In-place insertion sort of V[Lo, Hi).
 void insertionSort(std::vector<double> &V, size_t Lo, size_t Hi,

@@ -264,16 +264,6 @@ runtime::RunResult SortBenchmark::run(size_t Input,
   assert(Input < Inputs.size() && "input out of range");
   runtime::RunResult R;
   R.Accuracy = 1.0;
-  if (!sortSimulationEnabled()) {
-    double Before = Cost.units();
-    std::vector<double> Work = Inputs[Input];
-    Cost.addMoves(static_cast<double>(Work.size())); // initial copy
-    PolySorter Sorter = sorterFor(Config);
-    Sorter.sort(Work, Cost);
-    R.TimeUnits = Cost.units() - Before;
-    return R;
-  }
-
   thread_local SortRunScratch S;
   uint64_t Gen = BenchGeneration.load(std::memory_order_relaxed);
   if (S.Bench != this || S.Generation != Gen) {

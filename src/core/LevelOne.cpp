@@ -131,20 +131,16 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
 
   // Step 4: performance measurement -- every landmark on every input,
   // with each *distinct* configuration measured once per input and its
-  // column copied to duplicate landmarks (runs are deterministic, so the
-  // duplicates' sweeps would repeat bit-identically).
+  // column copied to duplicate landmarks (clusters routinely converge to
+  // the same configuration, and runs are deterministic, so the duplicates'
+  // sweeps would repeat bit-identically).
   size_t N = Program.numInputs();
   R.Time = linalg::Matrix(N, K);
   R.Acc = linalg::Matrix(N, K);
   std::vector<unsigned> MeasureAs(K);
+  std::map<std::vector<double>, unsigned> Seen;
   for (unsigned L = 0; L != K; ++L)
-    MeasureAs[L] = L;
-  if (Options.DedupMeasurementSweep) {
-    std::map<std::vector<double>, unsigned> Seen;
-    for (unsigned L = 0; L != K; ++L)
-      MeasureAs[L] =
-          Seen.emplace(R.Landmarks[L].values(), L).first->second;
-  }
+    MeasureAs[L] = Seen.emplace(R.Landmarks[L].values(), L).first->second;
   auto MeasureRow = [&](size_t I) {
     for (unsigned L = 0; L != K; ++L) {
       if (MeasureAs[L] != L)

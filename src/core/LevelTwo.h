@@ -57,13 +57,10 @@ struct LevelTwoOptions {
   /// subset-tree sweep ((z+1)^u - 1 candidates). Results are identical
   /// with or without it.
   support::ThreadPool *Pool = nullptr;
-  /// Run the zoo over the columnar ml::Dataset substrate: presorted tree
-  /// fits, direct-column candidate scoring, a per-fold fitted-tree
-  /// evaluation cache, and chunked fold x subset parallelism. Produces
-  /// bit-identical results to the row-major path (pinned by LevelTwoTest
-  /// parity and the golden retrain suite); disabled by the `pbt-bench
-  /// trainbench` pre-optimisation baseline.
-  bool UseDataset = true;
+  /// The zoo always runs over the columnar ml::Dataset substrate. This
+  /// constant exists only because the repo benchmark (perfbench) reads
+  /// it; nothing can switch it off.
+  static constexpr bool UseDataset = true;
 };
 
 /// Cross-validated evaluation of one candidate classifier.
@@ -108,8 +105,8 @@ enumerateFeatureSubsets(const runtime::FeatureIndex &Index);
 
 /// Runs Level 2 on top of a Level 1 result. \p Data, when given, is the
 /// columnar substrate extracted once by the pipeline (its label column
-/// must be attached); when null and Options.UseDataset is set, a local
-/// Dataset is columnarized from the L1 tables.
+/// must be attached); when null, a local Dataset is columnarized from
+/// the L1 tables.
 LevelTwoResult runLevelTwo(const runtime::TunableProgram &Program,
                            const LevelOneResult &L1,
                            const std::vector<size_t> &TrainRows,

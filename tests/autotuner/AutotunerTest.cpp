@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
+#include <set>
+#include <utility>
 
 using namespace pbt;
 using namespace pbt::autotuner;
@@ -166,32 +170,93 @@ TEST(AutotunerTest, ParallelEvaluationMatchesSequential) {
   EXPECT_EQ(A.Best, B.Best) << "cost model determinism is scheduling-proof";
 }
 
-TEST(AutotunerTest, MemoizedEvaluationMatchesUnmemoized) {
-  // The run memo only replays deterministic outcomes, so the whole search
-  // trajectory -- not just the winner -- must be unchanged, with and
-  // without a pool in the mix.
+/// Forwards to a QuadraticProgram and logs every configuration it is
+/// asked to run, in call order (thread-safe, for pooled tuning).
+class RunLoggingProgram : public TunableProgram {
+public:
+  explicit RunLoggingProgram(bool WithAccuracy) : Inner(WithAccuracy) {}
+
+  std::string name() const override { return Inner.name(); }
+  const ConfigSpace &space() const override { return Inner.space(); }
+  std::vector<FeatureInfo> features() const override {
+    return Inner.features();
+  }
+  std::optional<AccuracySpec> accuracy() const override {
+    return Inner.accuracy();
+  }
+  size_t numInputs() const override { return Inner.numInputs(); }
+  double extractFeature(size_t I, unsigned F, unsigned L,
+                        support::CostCounter &C) const override {
+    return Inner.extractFeature(I, F, L, C);
+  }
+  RunResult run(size_t Input, const Configuration &C,
+                support::CostCounter &Cost) const override {
+    {
+      std::lock_guard<std::mutex> Lock(LogLock);
+      Log.push_back(C.values());
+    }
+    return Inner.run(Input, C, Cost);
+  }
+
+  std::vector<std::vector<double>> takeLog() {
+    std::lock_guard<std::mutex> Lock(LogLock);
+    return std::exchange(Log, {});
+  }
+
+private:
+  QuadraticProgram Inner;
+  mutable std::mutex LogLock;
+  mutable std::vector<std::vector<double>> Log;
+};
+
+TEST(AutotunerTest, MemoNeverRerunsAConfigurationFromAnEarlierGeneration) {
+  // A search of G generations draws the same random stream as the first G
+  // generations of a longer one, so the run log of Generations = G - 1 is
+  // a prefix of the log of Generations = G and the difference is exactly
+  // generation G's runs. None of them may repeat a configuration measured
+  // before that generation; repeats *within* one batch are allowed (the
+  // misses of a batch are resolved before any of them is recorded).
   for (bool WithAccuracy : {false, true}) {
-    QuadraticProgram P(WithAccuracy);
+    RunLoggingProgram P(WithAccuracy);
     AutotunerOptions O;
     O.PopulationSize = 14;
     O.Generations = 10;
     O.Seed = 17;
-    O.Memoize = false;
-    TuneResult Plain = EvolutionaryAutotuner(O).tune(P, 0);
-    O.Memoize = true;
-    TuneResult Memo = EvolutionaryAutotuner(O).tune(P, 0);
-    EXPECT_EQ(Plain.Best, Memo.Best);
-    EXPECT_EQ(Plain.BestOutcome.TimeUnits, Memo.BestOutcome.TimeUnits);
-    EXPECT_EQ(Plain.BestOutcome.Accuracy, Memo.BestOutcome.Accuracy);
-    EXPECT_EQ(Plain.History, Memo.History);
-    EXPECT_EQ(Plain.Evaluations, Memo.Evaluations)
-        << "hits still count as search effort";
+
+    std::vector<std::vector<double>> Before;
+    for (unsigned G = 0; G <= O.Generations; ++G) {
+      AutotunerOptions Prefix = O;
+      Prefix.Generations = G;
+      EvolutionaryAutotuner(Prefix).tune(P, 0);
+      std::vector<std::vector<double>> Log = P.takeLog();
+      ASSERT_GE(Log.size(), Before.size());
+      ASSERT_TRUE(std::equal(Before.begin(), Before.end(), Log.begin()))
+          << "generation " << G << " does not extend the shorter search";
+      std::set<std::vector<double>> Measured(Before.begin(), Before.end());
+      for (size_t I = Before.size(); I != Log.size(); ++I)
+        EXPECT_EQ(Measured.count(Log[I]), 0u)
+            << "generation " << G << " re-ran a measured configuration";
+      Before = std::move(Log);
+    }
+
+    TuneResult Seq = EvolutionaryAutotuner(O).tune(P, 0);
+    size_t SeqRuns = P.takeLog().size();
+    // Every candidate counts as search effort, memo hit or not: the
+    // initial population plus every non-elite offspring.
+    unsigned Expected =
+        O.PopulationSize + O.Generations * (O.PopulationSize - O.EliteCount);
+    EXPECT_EQ(Seq.Evaluations, Expected);
+    EXPECT_LT(SeqRuns, Seq.Evaluations) << "the memo replayed nothing";
 
     support::ThreadPool Pool(3);
     O.Pool = &Pool;
     TuneResult Pooled = EvolutionaryAutotuner(O).tune(P, 0);
-    EXPECT_EQ(Plain.Best, Pooled.Best);
-    EXPECT_EQ(Plain.History, Pooled.History);
+    EXPECT_EQ(P.takeLog().size(), SeqRuns);
+    EXPECT_EQ(Seq.Best, Pooled.Best);
+    EXPECT_EQ(Seq.BestOutcome.TimeUnits, Pooled.BestOutcome.TimeUnits);
+    EXPECT_EQ(Seq.BestOutcome.Accuracy, Pooled.BestOutcome.Accuracy);
+    EXPECT_EQ(Seq.History, Pooled.History);
+    EXPECT_EQ(Seq.Evaluations, Pooled.Evaluations);
   }
 }
 

@@ -138,6 +138,35 @@ TEST_F(LevelOneTest, ParallelAndSequentialAgree) {
       EXPECT_DOUBLE_EQ(Seq.Time.at(I, K), Par.Time.at(I, K));
 }
 
+TEST_F(LevelOneTest, SweepWithDuplicateLandmarksMatchesDirectRuns) {
+  // BinPacking has 13 algorithms, so 20 landmarks must repeat at least
+  // seven configurations. The sweep measures each distinct configuration
+  // once per input and copies its column to the duplicates; every cell,
+  // duplicates included, must equal a direct run of its landmark.
+  LevelOneOptions O;
+  O.NumLandmarks = 20;
+  O.Seed = 29;
+  O.Tuner.PopulationSize = 4;
+  O.Tuner.Generations = 2;
+  LevelOneResult R = runLevelOne(*Program, TrainRows, O);
+  ASSERT_EQ(R.Landmarks.size(), 20u);
+  std::set<std::vector<double>> Distinct;
+  for (const runtime::Configuration &L : R.Landmarks)
+    Distinct.insert(L.values());
+  ASSERT_LT(Distinct.size(), R.Landmarks.size())
+      << "the fixture must produce duplicate landmarks";
+
+  for (size_t I = 0; I != Program->numInputs(); ++I)
+    for (size_t K = 0; K != R.Landmarks.size(); ++K) {
+      support::CostCounter C;
+      runtime::RunResult Direct = Program->run(I, R.Landmarks[K], C);
+      EXPECT_EQ(R.Time.at(I, K), Direct.TimeUnits)
+          << "input " << I << " landmark " << K;
+      EXPECT_EQ(R.Acc.at(I, K), Direct.Accuracy)
+          << "input " << I << " landmark " << K;
+    }
+}
+
 TEST_F(LevelOneTest, LandmarkCountClampedToTrainSize) {
   LevelOneOptions O;
   O.NumLandmarks = 1000;
