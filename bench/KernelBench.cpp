@@ -21,6 +21,7 @@
 #ifdef PBT_HAVE_GOOGLE_BENCHMARK
 
 #include "benchmarks/BinPackingAlgorithms.h"
+#include "benchmarks/ClusteringBenchmark.h"
 #include "benchmarks/SortAlgorithms.h"
 #include "core/FeatureProbe.h"
 #include "core/Pipeline.h"
@@ -242,21 +243,41 @@ BENCHMARK(BM_HelmholtzJacobiSweeps)->Arg(9)->Arg(17);
 // ML kernels
 //===----------------------------------------------------------------------===//
 
+/// The clustering benchmark's shape: 2-D points of its generator mixture,
+/// N = 325 (the middle of its 150-500 points per input), kmeans++ seeding,
+/// K from its tuning range and its largest iteration budget, 30. Early
+/// stop is off so every K runs all 30 passes.
 static void BM_KMeans(benchmark::State &State) {
   support::Rng Rng(6);
-  size_t N = static_cast<size_t>(State.range(0));
-  linalg::Matrix P(N, 2);
-  for (double &V : P.data())
-    V = Rng.uniform(0, 100);
+  linalg::Matrix P =
+      bench::generateClusterInput(bench::ClusterGen::BlobsPlusNoise, 325, Rng);
   ml::KMeansOptions O;
-  O.K = 8;
-  O.MaxIterations = 20;
+  O.K = static_cast<unsigned>(State.range(0));
+  O.MaxIterations = 30;
+  O.EarlyStop = false;
   for (auto _ : State) {
     ml::KMeansResult R = ml::kMeans(P, O);
     benchmark::DoNotOptimize(R.Assignment.data());
   }
 }
-BENCHMARK(BM_KMeans)->Arg(512)->Arg(2048);
+BENCHMARK(BM_KMeans)->Arg(4)->Arg(12)->Arg(24);
+
+/// Level 1's shape (core/LevelOne.cpp): normalized 12-D feature rows, 12
+/// landmarks, kmeans++ seeding, up to 60 iterations with early stop.
+static void BM_KMeansLevelOne(benchmark::State &State) {
+  support::Rng Rng(6);
+  linalg::Matrix P(static_cast<size_t>(State.range(0)), 12);
+  for (double &V : P.data())
+    V = Rng.gaussian(0.0, 1.0);
+  ml::KMeansOptions O;
+  O.K = 12;
+  O.MaxIterations = 60;
+  for (auto _ : State) {
+    ml::KMeansResult R = ml::kMeans(P, O);
+    benchmark::DoNotOptimize(R.Assignment.data());
+  }
+}
+BENCHMARK(BM_KMeansLevelOne)->Arg(128);
 
 static void BM_DecisionTreePredict(benchmark::State &State) {
   support::Rng Rng(7);

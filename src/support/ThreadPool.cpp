@@ -17,11 +17,11 @@ unsigned ThreadPool::hardwareThreads() {
   return N == 0 ? 1 : N;
 }
 
-ThreadPool::ThreadPool(unsigned NumThreads) {
-  if (NumThreads == 0)
-    NumThreads = hardwareThreads();
-  Workers.reserve(NumThreads);
-  for (unsigned I = 0; I != NumThreads; ++I)
+ThreadPool::ThreadPool(unsigned NumThreads)
+    : NumThreads(NumThreads == 0 ? hardwareThreads() : NumThreads) {
+  // The thread calling parallelFor works too, so N - 1 workers make N.
+  Workers.reserve(this->NumThreads - 1);
+  for (unsigned I = 1; I < this->NumThreads; ++I)
     Workers.emplace_back([this] { workerLoop(); });
 }
 
@@ -81,6 +81,11 @@ void ThreadPool::parallelFor(size_t Begin, size_t End,
                              size_t GrainSize) {
   if (Begin >= End)
     return;
+  if (Workers.empty()) {
+    for (size_t Index = Begin; Index != End; ++Index)
+      Body(Index);
+    return;
+  }
   {
     std::unique_lock<std::mutex> Lock(Mutex);
     assert(!HasJob && "nested/concurrent parallelFor is not supported");

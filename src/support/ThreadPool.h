@@ -30,6 +30,8 @@ namespace support {
 class ThreadPool {
 public:
   /// \p NumThreads == 0 selects the hardware concurrency (at least 1).
+  /// parallelFor's caller is one of the \p NumThreads threads, so the pool
+  /// starts NumThreads - 1 workers; ThreadPool(1) runs bodies inline.
   explicit ThreadPool(unsigned NumThreads = 0);
   ~ThreadPool();
 
@@ -51,7 +53,8 @@ public:
                    const std::function<void(size_t)> &Body,
                    size_t GrainSize = 1);
 
-  unsigned numThreads() const { return static_cast<unsigned>(Workers.size()); }
+  /// Threads that run bodies, the caller included.
+  unsigned numThreads() const { return NumThreads; }
 
   static unsigned hardwareThreads();
 
@@ -68,6 +71,7 @@ private:
   void workerLoop();
   bool runSomeOf(Job &J);
 
+  unsigned NumThreads;
   std::vector<std::thread> Workers;
   std::mutex Mutex;
   std::condition_variable WorkAvailable;

@@ -204,13 +204,11 @@ TEST_P(ServeParityTest, RepeatDecisionsAreCachedAndIdentical) {
     EXPECT_FALSE(Fresh.Memoized);
 }
 
-TEST_P(ServeParityTest, LaneServingMatchesGoldensOnEveryTier) {
+TEST_P(ServeParityTest, LaneServingMatchesGoldens) {
   // The lane serving wall against the committed decisions: the one lane
   // kernel must reproduce the golden choices through the lane-batched
   // path -- cold, and again re-decided from a warm feature memo (where
   // lanes serve every model kind) with duplicated inputs in the batch.
-  // (The name predates the single kernel; it is kept so the test's
-  // history stays traceable.)
   std::string Name = GetParam();
   std::vector<std::pair<size_t, unsigned>> Expected =
       readChoices(goldenPath(Name + ".choices.csv"));

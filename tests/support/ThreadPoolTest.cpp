@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 using pbt::support::ThreadPool;
@@ -47,6 +51,31 @@ TEST(ThreadPoolTest, SingleThreadPoolWorks) {
   std::atomic<int> Count{0};
   Pool.parallelFor(0, 20, [&](size_t) { Count.fetch_add(1); });
   EXPECT_EQ(Count.load(), 20);
+}
+
+TEST(ThreadPoolTest, AtMostNThreadsRunBodies) {
+  // parallelFor's caller counts as one of the N threads. Each body
+  // sleeps a little so that every thread of the pool gets to claim work.
+  for (unsigned N : {1u, 2u, 4u}) {
+    ThreadPool Pool(N);
+    EXPECT_EQ(Pool.numThreads(), N);
+    std::mutex IdsMutex;
+    std::set<std::thread::id> Ids;
+    Pool.parallelFor(0, 64, [&](size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      std::lock_guard<std::mutex> Lock(IdsMutex);
+      Ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(Ids.size(), 1u);
+    EXPECT_LE(Ids.size(), N);
+    if (N == 1)
+      EXPECT_EQ(*Ids.begin(), std::this_thread::get_id());
+  }
+}
+
+TEST(ThreadPoolTest, ZeroMeansHardwareThreads) {
+  ThreadPool Pool(0);
+  EXPECT_EQ(Pool.numThreads(), ThreadPool::hardwareThreads());
 }
 
 TEST(ThreadPoolTest, HardwareThreadsPositive) {
