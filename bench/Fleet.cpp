@@ -171,7 +171,7 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
       std::move(System));
   Base.System.Data.reset();
 
-  std::string StoreDir = Opts.OutDir + "/fleet-store";
+  std::string StoreDir = outPath(Opts, "fleet-store");
   std::error_code EC;
   std::filesystem::remove_all(StoreDir, EC);
 
@@ -187,7 +187,7 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
 
   // --- Golden decisions: the parity baseline. Every promoted epoch is
   // a clone of Base, so one in-process replay covers the whole run.
-  std::string ModelPath = Opts.OutDir + "/fleet-model.pbt";
+  std::string ModelPath = outPath(Opts, "fleet-model.pbt");
   St = serialize::saveModelFile(ModelPath, Base);
   if (!St) {
     std::fprintf(stderr, "pbt-bench fleet: cannot save parity model: %s\n",
@@ -207,7 +207,7 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
   for (size_t I = 0; I < AllInputs.size(); ++I)
     AllInputs[I] = I;
   std::vector<runtime::PredictionService::Decision> GoldenDecisions =
-      Parity.decideBatch(AllInputs, Opts.Pool);
+      Parity.decideBatch(AllInputs);
   std::vector<uint32_t> Golden(GoldenDecisions.size());
   for (size_t I = 0; I < Golden.size(); ++I)
     Golden[I] = GoldenDecisions[I].Landmark;
@@ -453,18 +453,8 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
   J += "}\n";
   std::fputs(J.c_str(), stdout);
 
-  if (Opts.Json) {
-    std::string Path = Opts.OutDir + "/BENCH_fleet.json";
-    if (FILE *Out = std::fopen(Path.c_str(), "w")) {
-      std::fputs(J.c_str(), Out);
-      std::fclose(Out);
-      std::fprintf(stderr, "[fleet] wrote %s\n", Path.c_str());
-    } else {
-      std::fprintf(stderr, "pbt-bench fleet: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-  }
+  if (Opts.Json && !writeJsonReport(Opts, "fleet", "BENCH_fleet.json", J))
+    return 1;
 
   // --- The wall. ------------------------------------------------------
   int Rc = 0;

@@ -489,13 +489,6 @@ static void BM_LevelTwoZoo(benchmark::State &State) {
 }
 BENCHMARK(BM_LevelTwoZoo)->Unit(benchmark::kMillisecond);
 
-/// OutDir-qualified path of the machine-readable kernels record.
-static std::string kernelsJsonPath(const benchharness::DriverOptions &Opts) {
-  if (Opts.OutDir.empty() || Opts.OutDir == ".")
-    return "BENCH_kernels.json";
-  return Opts.OutDir + "/BENCH_kernels.json";
-}
-
 int pbt::benchharness::runKernels(const DriverOptions &Opts, int Argc,
                                   char **Argv) {
   // --json lowers to google-benchmark's own JSON reporter so the file
@@ -506,7 +499,7 @@ int pbt::benchharness::runKernels(const DriverOptions &Opts, int Argc,
   Args.push_back(Argv[0]);
   std::string OutFlag, FormatFlag;
   if (Opts.Json) {
-    OutFlag = "--benchmark_out=" + kernelsJsonPath(Opts);
+    OutFlag = "--benchmark_out=" + outPath(Opts, "BENCH_kernels.json");
     FormatFlag = "--benchmark_out_format=json";
     Args.push_back(OutFlag.data());
     Args.push_back(FormatFlag.data());
@@ -534,16 +527,10 @@ int pbt::benchharness::runKernels(const DriverOptions &Opts, int, char **) {
   if (Opts.Json) {
     // Perf-trajectory pipelines expect the artifact to exist; emit an
     // explicit "not available" marker instead of silently nothing.
-    std::string Path = (Opts.OutDir.empty() || Opts.OutDir == ".")
-                           ? std::string("BENCH_kernels.json")
-                           : Opts.OutDir + "/BENCH_kernels.json";
-    if (FILE *Out = std::fopen(Path.c_str(), "wb")) {
-      std::fputs("{\"available\": false, "
-                 "\"reason\": \"built without google-benchmark\"}\n",
-                 Out);
-      std::fclose(Out);
+    if (writeJsonReport(Opts, "kernels", "BENCH_kernels.json",
+                        "{\"available\": false, "
+                        "\"reason\": \"built without google-benchmark\"}\n"))
       return 0;
-    }
   }
   return 2;
 }

@@ -64,8 +64,6 @@ static void printUsage() {
       "                       replay through the daemon model registry\n"
       "  interact             input-vs-config interaction-strength sweep;\n"
       "                       BENCH_interact.json report\n"
-      "  trainbench           training-time report: best-of passes of\n"
-      "                       trainSystem per benchmark (JSON)\n"
       "  loadgen              drive a pbt-serve daemon over N concurrent\n"
       "                       connections; BENCH_serve_daemon.json report\n"
       "  rollout              staged fleet-rollout harness over the crash-\n"
@@ -89,14 +87,14 @@ static void printUsage() {
       "  --model=FILE[,FILE]  predict/serve: model file(s) to serve from\n"
       "                       (serve accepts a comma-separated list)\n"
       "  --rows=WHICH         predict/serve: test|train|all recorded rows\n"
-      "  --repeat=N           predict: passes over the rows (memo check);\n"
-      "                       trainbench: timing passes (best-of)\n"
+      "  --repeat=N           predict: passes over the rows (memo check)\n"
       "  --csv=FILE           predict: write per-input decisions as CSV\n"
       "  --batch=N            serve: decisions per decideBatch call\n"
       "  --seconds=S          serve: wall-clock budget per phase;\n"
       "                       stream: wall-clock cap per serving loop\n"
-      "  --json               serve/stream/kernels: also write\n"
-      "                       BENCH_<sub>.json into --out-dir\n"
+      "  --json               serve/stream/interact/loadgen/rollout/fleet/\n"
+      "                       kernels: also write BENCH_<sub>.json into\n"
+      "                       --out-dir\n"
       "  --schedule=KIND      stream: abrupt|ramp|periodic mixture\n"
       "  --requests=N         stream: request count (the deterministic\n"
       "                       bound; default 2000)\n"
@@ -346,6 +344,9 @@ int main(int argc, char **argv) {
     } else if (Sub == "predict") {
       // Online serving is deliberately single-threaded and cheap.
       return runPredict(Opts);
+    } else if (Sub == "serve") {
+      // So is its throughput harness: every phase runs on one thread.
+      return runServe(Opts);
     } else if (Sub == "kernels") {
       // google-benchmark owns the remaining argv (argv[0] + passthrough).
       std::vector<char *> KArgv;
@@ -356,7 +357,7 @@ int main(int argc, char **argv) {
       return runKernels(Opts, KArgc, KArgv.data());
     }
 
-    // The remaining subcommands train pipelines or serve batches: give
+    // The remaining subcommands train pipelines or drive servers: give
     // them the pool (not constructed at all under --sequential).
     std::optional<support::ThreadPool> Pool;
     if (!Opts.Sequential) {
@@ -364,8 +365,6 @@ int main(int argc, char **argv) {
       Opts.Pool = &*Pool;
     }
 
-    if (Sub == "serve")
-      return runServe(Opts);
     if (Sub == "loadgen")
       return runLoadgen(Opts, argv[0]);
     if (Sub == "rollout")
@@ -378,8 +377,6 @@ int main(int argc, char **argv) {
       return runInteract(Opts);
     if (Sub == "train")
       return runTrain(Opts);
-    if (Sub == "trainbench")
-      return runTrainBench(Opts);
     if (Sub == "table1")
       return runTable1(Opts);
     if (Sub == "fig6")

@@ -6,8 +6,6 @@
 
 #include "Reports.h"
 
-#include "benchmarks/SortAlgorithms.h"
-#include "benchmarks/SortBenchmark.h"
 #include "core/FeatureProbe.h"
 #include "core/TheoreticalModel.h"
 #include "daemon/ModelRegistry.h"
@@ -37,10 +35,25 @@ benchharness::suiteFor(const DriverOptions &Opts) {
   return registry::makeSuite(Opts.Only, Opts.Scale, Opts.Pool);
 }
 
-static std::string csvPath(const DriverOptions &Opts, const std::string &Name) {
+std::string benchharness::outPath(const DriverOptions &Opts,
+                                  const std::string &Name) {
   if (Opts.OutDir.empty() || Opts.OutDir == ".")
     return Name;
   return Opts.OutDir + "/" + Name;
+}
+
+bool benchharness::writeJsonReport(const DriverOptions &Opts, const char *Sub,
+                                   const std::string &Name,
+                                   const std::string &Json) {
+  std::string Path = outPath(Opts, Name);
+  FILE *Out = std::fopen(Path.c_str(), "wb");
+  bool Ok = Out && std::fwrite(Json.data(), 1, Json.size(), Out) == Json.size();
+  if (Out && std::fclose(Out) != 0)
+    Ok = false;
+  if (!Ok)
+    std::fprintf(stderr, "pbt-bench %s: cannot write '%s'\n", Sub,
+                 Path.c_str());
+  return Ok;
 }
 
 //===----------------------------------------------------------------------===//
@@ -141,7 +154,7 @@ int benchharness::runFig6(const DriverOptions &Opts) {
     Csv.setHeader({"rank", "speedup"});
     for (size_t I = 0; I != S.size(); ++I)
       Csv.addRow({std::to_string(I), support::formatDouble(S[I], 6)});
-    Csv.writeFile(csvPath(Opts, "fig6_" + E.Name + ".csv"));
+    Csv.writeFile(outPath(Opts, "fig6_" + E.Name + ".csv"));
   }
 
   std::printf("Figure 6: distribution of per-input speedups of the "
@@ -180,7 +193,7 @@ int benchharness::runFig7(const DriverOptions &Opts) {
     A.addRow(Row);
     CsvA.addRow(CsvRow);
   }
-  CsvA.writeFile(csvPath(Opts, "fig7a.csv"));
+  CsvA.writeFile(outPath(Opts, "fig7a.csv"));
 
   std::printf("Figure 7a: predicted loss in speedup contributed by input "
               "space regions of different sizes\n\n%s\n",
@@ -200,7 +213,7 @@ int benchharness::runFig7(const DriverOptions &Opts) {
       B.addRow({std::to_string(K), support::formatDouble(F, 4)});
     CsvB.addRow({std::to_string(K), support::formatDouble(F, 6)});
   }
-  CsvB.writeFile(csvPath(Opts, "fig7b.csv"));
+  CsvB.writeFile(outPath(Opts, "fig7b.csv"));
 
   std::printf("\nFigure 7b: predicted speedup (worst-case region sizes) vs "
               "number of landmarks\n\n%s\n",
@@ -246,7 +259,7 @@ int benchharness::runFig8(const DriverOptions &Opts) {
                   support::formatDouble(P.Speedups.Max, 6),
                   support::formatDouble(P.Speedups.Mean, 6)});
     }
-    Csv.writeFile(csvPath(Opts, "fig8_" + E.Name + ".csv"));
+    Csv.writeFile(outPath(Opts, "fig8_" + E.Name + ".csv"));
     std::printf("Figure 8 (%s): speedup over static oracle vs number of "
                 "landmarks (%u random subsets per count)\n\n%s\n",
                 E.Name.c_str(), Trials, Table.format().c_str());
@@ -283,7 +296,7 @@ int benchharness::runTrain(const DriverOptions &Opts) {
         serialize::makeModel(E.Name, Opts.Scale, F.defaultProgramSeed(),
                              *E.Program, std::move(System));
     std::string Path =
-        Opts.Out.empty() ? csvPath(Opts, E.Name + ".pbt") : Opts.Out;
+        Opts.Out.empty() ? outPath(Opts, E.Name + ".pbt") : Opts.Out;
     std::string Text = serialize::serializeModel(Model);
     serialize::LoadStatus Saved = serialize::writeModelText(Path, Text);
     if (!Saved) {
@@ -425,250 +438,31 @@ struct ServePhase {
 };
 } // namespace
 
-/// Runs decideBatch over \p Batch repeatedly for ~\p Seconds of wall
-/// clock, recording each call's latency.
-static ServePhase measureCompiled(runtime::PredictionService &Service,
-                                  const std::vector<size_t> &Batch,
-                                  support::ThreadPool *Pool, double Seconds) {
+/// Runs \p Pass (one batch; returns the decisions it made) repeatedly for
+/// ~\p Seconds of wall clock, recording each pass's latency. One untimed
+/// warm-up pass runs first, so first-touch faults and one-time setup never
+/// land in a latency sample. \p Reset runs before every pass outside the
+/// timed region: teardown such as dropping the memo is serving
+/// bookkeeping, not batch work, and counts only against the phase budget.
+/// Decisions/s divides by the timed seconds alone.
+template <typename ResetFn, typename PassFn>
+static ServePhase timePhase(double Seconds, ResetFn Reset, PassFn Pass) {
   ServePhase P;
   std::vector<double> Latencies;
-  // One untimed warm-up pass: first-touch faults, pool wake-up and any
-  // one-time setup never land in a latency sample (the percentiles must
-  // reflect steady-state serving).
-  Service.decideBatch(Batch, Pool);
+  Reset();
+  (void)Pass();
   support::WallTimer Total;
-  double Elapsed = 0.0;
+  double Timed = 0.0;
   do {
+    Reset();
     support::WallTimer T;
-    std::vector<runtime::PredictionService::Decision> D =
-        Service.decideBatch(Batch, Pool);
+    P.Decisions += Pass();
     Latencies.push_back(T.elapsedSeconds());
-    P.Decisions += D.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
+    Timed += Latencies.back();
+  } while (Total.elapsedSeconds() < Seconds);
   P.Batches = Latencies.size();
   P.DecisionsPerSec =
-      Elapsed > 0.0 ? static_cast<double>(P.Decisions) / Elapsed : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-/// Cold serving: every pass drops the memo first, so each decision pays
-/// feature extraction -- the fresh-traffic regime where batching across
-/// the pool actually amortises (hot repeat decisions are one cached load
-/// and too cheap to shard profitably).
-static ServePhase measureCold(runtime::PredictionService &Service,
-                              const std::vector<size_t> &Batch,
-                              support::ThreadPool *Pool, double Seconds) {
-  ServePhase P;
-  std::vector<double> Latencies;
-  // Untimed warm-up pass (see measureCompiled).
-  Service.clearMemo();
-  Service.decideBatch(Batch, Pool);
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  double Spent = 0.0;
-  do {
-    // The memo teardown is serving-infrastructure bookkeeping, not
-    // per-batch serving work: exclude it from the batch latency but
-    // count it against the phase budget.
-    Service.clearMemo();
-    support::WallTimer T;
-    std::vector<runtime::PredictionService::Decision> D =
-        Service.decideBatch(Batch, Pool);
-    Latencies.push_back(T.elapsedSeconds());
-    Spent += Latencies.back();
-    P.Decisions += D.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Spent > 0.0 ? static_cast<double>(P.Decisions) / Spent : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-/// Decision-classification phases with the feature memo warm AND
-/// complete: every pass drops only the cached decisions -- outside the
-/// timed region, like measureCold's teardown -- so each timed batch
-/// re-classifies every input from memoized features, through the SIMD
-/// lanes or (with \p LaneServing off) the frozen scalar compiled path.
-/// The scalar-vs-SIMD ratio of this phase at the pool's thread count is
-/// the number BENCH_serve.json pins.
-static ServePhase measureDecide(runtime::PredictionService &Service,
-                                const std::vector<size_t> &Batch,
-                                support::ThreadPool *Pool, double Seconds,
-                                bool LaneServing) {
-  bool Restore = Service.laneServing();
-  Service.setLaneServing(LaneServing);
-  ServePhase P;
-  std::vector<double> Latencies;
-  // Untimed warm-up pass (see measureCompiled).
-  Service.clearDecisions();
-  Service.decideBatch(Batch, Pool);
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  double Spent = 0.0;
-  do {
-    Service.clearDecisions();
-    support::WallTimer T;
-    std::vector<runtime::PredictionService::Decision> D =
-        Service.decideBatch(Batch, Pool);
-    Latencies.push_back(T.elapsedSeconds());
-    Spent += Latencies.back();
-    P.Decisions += D.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  Service.setLaneServing(Restore);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Spent > 0.0 ? static_cast<double>(P.Decisions) / Spent : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-/// Classifier-only phases: drive the lowered production classifier (and
-/// its interpreted twin) directly over the model's recorded feature
-/// table, bypassing the service's decision cache. This is the pure
-/// "arena walk vs polymorphic walk over memoized features" ratio -- the
-/// regression signal for the compiled subsystem itself, independent of
-/// how effective decision caching is.
-static ServePhase measureClassifyCompiled(
-    const runtime::CompiledModel &Compiled, const linalg::Matrix &Features,
-    const std::vector<size_t> &Batch, double Seconds) {
-  ServePhase P;
-  std::vector<double> Latencies;
-  runtime::CompiledModel::Scratch S = Compiled.makeScratch();
-  // Untimed warm-up pass (see measureCompiled).
-  for (size_t Row : Batch)
-    (void)Compiled.decideProduction(
-        S, [&Features, Row](unsigned F) { return Features.at(Row, F); });
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  do {
-    support::WallTimer T;
-    for (size_t Row : Batch) {
-      unsigned L = Compiled.decideProduction(
-          S, [&Features, Row](unsigned F) { return Features.at(Row, F); });
-      (void)L;
-    }
-    Latencies.push_back(T.elapsedSeconds());
-    P.Decisions += Batch.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Elapsed > 0.0 ? static_cast<double>(P.Decisions) / Elapsed : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-/// Lane twin of measureClassifyCompiled: the same rows from the same
-/// recorded feature table, classified a lane at a time through
-/// classifyProductionBlock. Against the scalar compiled phase this is
-/// the pure kernel ratio, with feature plumbing and the decision cache
-/// held constant.
-static ServePhase measureClassifyLanes(const runtime::CompiledModel &Compiled,
-                                       const linalg::Matrix &Features,
-                                       const std::vector<size_t> &Batch,
-                                       double Seconds) {
-  ServePhase P;
-  std::vector<double> Latencies;
-  runtime::CompiledModel::Scratch S = Compiled.makeScratch();
-  const std::vector<uint32_t> &Reads = Compiled.productionReads();
-  constexpr unsigned W = runtime::kLaneWidth;
-  unsigned Labels[W];
-  auto Pass = [&]() {
-    for (size_t Base = 0; Base < Batch.size(); Base += W) {
-      unsigned Count =
-          static_cast<unsigned>(std::min<size_t>(W, Batch.size() - Base));
-      for (unsigned L = 0; L != Count; ++L) {
-        size_t Row = Batch[Base + L];
-        for (uint32_t F : Reads)
-          S.LaneBlock[static_cast<size_t>(F) * W + L] = Features.at(Row, F);
-      }
-      Compiled.classifyProductionBlock(S, Count, Labels);
-    }
-  };
-  // Untimed warm-up pass (see measureCompiled).
-  Pass();
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  do {
-    support::WallTimer T;
-    Pass();
-    Latencies.push_back(T.elapsedSeconds());
-    P.Decisions += Batch.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Elapsed > 0.0 ? static_cast<double>(P.Decisions) / Elapsed : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-static ServePhase measureClassifyInterpreted(
-    const core::InputClassifier &Classifier, const linalg::Matrix &Features,
-    const linalg::Matrix &Costs, const std::vector<size_t> &Batch,
-    double Seconds) {
-  ServePhase P;
-  std::vector<double> Latencies;
-  // Untimed warm-up pass (see measureCompiled).
-  for (size_t Row : Batch) {
-    core::FeatureProbe Probe = core::probeFromTable(Features, Costs, Row);
-    (void)Classifier.classify(Probe);
-  }
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  do {
-    support::WallTimer T;
-    for (size_t Row : Batch) {
-      core::FeatureProbe Probe = core::probeFromTable(Features, Costs, Row);
-      unsigned L = Classifier.classify(Probe);
-      (void)L;
-    }
-    Latencies.push_back(T.elapsedSeconds());
-    P.Decisions += Batch.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Elapsed > 0.0 ? static_cast<double>(P.Decisions) / Elapsed : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-/// The pre-compile baseline: a plain single-threaded decideInterpreted()
-/// loop over \p Batch, timed per pass so the two paths see identical
-/// work per "batch".
-static ServePhase measureInterpreted(runtime::PredictionService &Service,
-                                     const std::vector<size_t> &Batch,
-                                     double Seconds) {
-  ServePhase P;
-  std::vector<double> Latencies;
-  // Untimed warm-up pass (see measureCompiled).
-  for (size_t Row : Batch)
-    Service.decideInterpreted(Row);
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  do {
-    support::WallTimer T;
-    for (size_t Row : Batch)
-      Service.decideInterpreted(Row);
-    Latencies.push_back(T.elapsedSeconds());
-    P.Decisions += Batch.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Elapsed > 0.0 ? static_cast<double>(P.Decisions) / Elapsed : 0.0;
+      Timed > 0.0 ? static_cast<double>(P.Decisions) / Timed : 0.0;
   P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
   P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
   return P;
@@ -786,7 +580,7 @@ static int serveOneModel(const DriverOptions &Opts, const std::string &Path,
   // Warm the feature memo once so every phase measures pure decision
   // throughput (the steady serving state; extraction is paid exactly
   // once per input either way and reported by `predict`).
-  Service.decideBatch(Rows, nullptr);
+  Service.decideBatch(Rows);
 
   // Parity gate: the compiled path must agree with the interpreted
   // classifier on every row before any number is reported.
@@ -796,38 +590,78 @@ static int serveOneModel(const DriverOptions &Opts, const std::string &Path,
       ChoicesMatch = false;
 
   double Seconds = std::max(0.01, Opts.Seconds);
-  ServePhase Interpreted = measureInterpreted(Service, Batch, Seconds);
-  ServePhase Single = measureCompiled(Service, Batch, nullptr, Seconds);
-  ServePhase Batched = measureCompiled(Service, Batch, Opts.Pool, Seconds);
-  ServePhase ColdSingle = measureCold(Service, Batch, nullptr, Seconds);
-  ServePhase ColdBatched = measureCold(Service, Batch, Opts.Pool, Seconds);
+  auto NoReset = [] {};
+  auto ServeBatch = [&] { return Service.decideBatch(Batch).size(); };
+  ServePhase Interpreted = timePhase(Seconds, NoReset, [&] {
+    for (size_t Row : Batch)
+      Service.decideInterpreted(Row);
+    return Batch.size();
+  });
+  ServePhase Single = timePhase(Seconds, NoReset, ServeBatch);
+  // Cold serving: every pass drops the memo first, so each decision pays
+  // feature extraction (the fresh-traffic regime).
+  ServePhase ColdSingle =
+      timePhase(Seconds, [&] { Service.clearMemo(); }, ServeBatch);
 
   // Decision-classification phases, scalar vs SIMD side by side. The
-  // cold phases above dropped the memo; rebuild it feature-complete so
+  // cold phase above dropped the memo; rebuild it feature-complete so
   // every model kind is lane-eligible (steady-state serving keeps the
-  // memo warm anyway -- this is the regime the tentpole targets).
-  Service.decideBatch(Rows, nullptr);
+  // memo warm anyway). Every pass drops only the cached decisions, so
+  // each timed batch re-classifies every input from memoized features.
+  Service.decideBatch(Rows);
   for (size_t Row : Rows)
     Service.warmFeatureMemo(Row);
-  ServePhase DecideScalarSingle =
-      measureDecide(Service, Batch, nullptr, Seconds, /*LaneServing=*/false);
-  ServePhase DecideSimdSingle =
-      measureDecide(Service, Batch, nullptr, Seconds, /*LaneServing=*/true);
-  ServePhase DecideScalarThreads =
-      measureDecide(Service, Batch, Opts.Pool, Seconds, /*LaneServing=*/false);
-  ServePhase DecideSimdThreads =
-      measureDecide(Service, Batch, Opts.Pool, Seconds, /*LaneServing=*/true);
+  auto Decide = [&](bool LaneServing) {
+    Service.setLaneServing(LaneServing);
+    ServePhase P =
+        timePhase(Seconds, [&] { Service.clearDecisions(); }, ServeBatch);
+    Service.setLaneServing(true);
+    return P;
+  };
+  ServePhase DecideScalarSingle = Decide(false);
+  ServePhase DecideSimdSingle = Decide(true);
 
-  // Classifier-only ratios (decision cache bypassed): the compiled arena
-  // walk and its lane twin vs the polymorphic classifier, all over the
-  // same recorded features.
-  ServePhase ClassifyCompiled = measureClassifyCompiled(
-      Service.compiled(), Model.System.L1.Features, Batch, Seconds);
-  ServePhase ClassifyLanes = measureClassifyLanes(
-      Service.compiled(), Model.System.L1.Features, Batch, Seconds);
-  ServePhase ClassifyInterpreted = measureClassifyInterpreted(
-      *Model.System.L2.Production, Model.System.L1.Features,
-      Model.System.L1.ExtractCosts, Batch, Seconds);
+  // Classifier-only phases (decision cache bypassed): the compiled arena
+  // walk, its lane twin and the polymorphic classifier, all over the
+  // model's recorded feature table. Against each other these are the
+  // pure kernel ratios, with feature plumbing held constant.
+  const runtime::CompiledModel &Compiled = Service.compiled();
+  const linalg::Matrix &Features = Model.System.L1.Features;
+  const std::vector<uint32_t> &Reads = Compiled.productionReads();
+  runtime::CompiledModel::Scratch S = Compiled.makeScratch();
+  // The inlined walk's labels must be consumed: discarded, the compiler
+  // deletes most of the walk (a one-split tree then reads ~7x faster).
+  static volatile unsigned LabelSink = 0;
+  ServePhase ClassifyCompiled = timePhase(Seconds, NoReset, [&] {
+    unsigned Sum = 0;
+    for (size_t Row : Batch)
+      Sum += Compiled.decideProduction(
+          S, [&Features, Row](unsigned F) { return Features.at(Row, F); });
+    LabelSink = Sum;
+    return Batch.size();
+  });
+  ServePhase ClassifyLanes = timePhase(Seconds, NoReset, [&] {
+    constexpr unsigned W = runtime::kLaneWidth;
+    unsigned Labels[W];
+    for (size_t Base = 0; Base < Batch.size(); Base += W) {
+      unsigned Count =
+          static_cast<unsigned>(std::min<size_t>(W, Batch.size() - Base));
+      for (unsigned L = 0; L != Count; ++L)
+        for (uint32_t F : Reads)
+          S.LaneBlock[static_cast<size_t>(F) * W + L] =
+              Features.at(Batch[Base + L], F);
+      Compiled.classifyProductionBlock(S, Count, Labels);
+    }
+    return Batch.size();
+  });
+  ServePhase ClassifyInterpreted = timePhase(Seconds, NoReset, [&] {
+    for (size_t Row : Batch) {
+      core::FeatureProbe Probe =
+          core::probeFromTable(Features, Model.System.L1.ExtractCosts, Row);
+      (void)Model.System.L2.Production->classify(Probe);
+    }
+    return Batch.size();
+  });
 
   Json += std::string("    {\n") +
           "      \"model\": \"" + jsonString(Path) + "\",\n" +
@@ -844,17 +678,10 @@ static int serveOneModel(const DriverOptions &Opts, const std::string &Path,
           (ChoicesMatch ? "true" : "false") + ",\n" +
           "      \"interpreted_single\": " + jsonPhase(Interpreted) + ",\n" +
           "      \"compiled_single\": " + jsonPhase(Single) + ",\n" +
-          "      \"compiled_batched\": " + jsonPhase(Batched) + ",\n" +
           "      \"compiled_cold_single\": " + jsonPhase(ColdSingle) + ",\n" +
-          "      \"compiled_cold_batched\": " + jsonPhase(ColdBatched) +
-          ",\n" +
           "      \"decide_scalar_single\": " + jsonPhase(DecideScalarSingle) +
           ",\n" +
           "      \"decide_simd_single\": " + jsonPhase(DecideSimdSingle) +
-          ",\n" +
-          "      \"decide_scalar_threads\": " + jsonPhase(DecideScalarThreads) +
-          ",\n" +
-          "      \"decide_simd_threads\": " + jsonPhase(DecideSimdThreads) +
           ",\n" +
           "      \"classify_compiled_single\": " + jsonPhase(ClassifyCompiled) +
           ",\n" +
@@ -869,22 +696,13 @@ static int serveOneModel(const DriverOptions &Opts, const std::string &Path,
           ",\n" +
           "      \"classify_lanes_vs_compiled_speedup\": " +
           jsonNumber(speedupOf(ClassifyLanes, ClassifyCompiled)) + ",\n" +
-          "      \"batched_vs_single_scaling\": " +
-          jsonNumber(speedupOf(Batched, Single)) + ",\n" +
-          "      \"cold_batched_vs_single_scaling\": " +
-          jsonNumber(speedupOf(ColdBatched, ColdSingle)) + ",\n" +
           "      \"simd_vs_scalar_single_speedup\": " +
-          jsonNumber(speedupOf(DecideSimdSingle, DecideScalarSingle)) + ",\n" +
-          "      \"simd_vs_scalar_threads_speedup\": " +
-          jsonNumber(speedupOf(DecideSimdThreads, DecideScalarThreads)) +
-          "\n" +
+          jsonNumber(speedupOf(DecideSimdSingle, DecideScalarSingle)) + "\n" +
           "    }";
   std::fprintf(stderr,
-               "[serve] %-12s simd/scalar %.2fx single, %.2fx pooled "
-               "(width-%u lanes)\n",
+               "[serve] %-12s simd/scalar %.2fx (width-%u lanes)\n",
                Model.Meta.Benchmark.c_str(),
                speedupOf(DecideSimdSingle, DecideScalarSingle),
-               speedupOf(DecideSimdThreads, DecideScalarThreads),
                runtime::kLaneWidth);
   return 0;
 }
@@ -896,12 +714,9 @@ int benchharness::runServe(const DriverOptions &Opts) {
                  "pbt-bench serve: --model=FILE[,FILE...] is required\n");
     return 1;
   }
-  unsigned Threads = Opts.Pool ? Opts.Pool->numThreads() : 1;
-
   std::string Json =
       std::string("{\n") +
       "  \"subcommand\": \"serve\",\n" +
-      "  \"threads\": " + std::to_string(Threads) + ",\n" +
       "  \"batch\": " + std::to_string(std::max(1u, Opts.Batch)) + ",\n" +
       "  \"seconds_per_phase\": " +
       jsonNumber(std::max(0.01, Opts.Seconds)) + ",\n" +
@@ -919,109 +734,9 @@ int benchharness::runServe(const DriverOptions &Opts) {
   Json += "  ]\n}\n";
 
   std::fputs(Json.c_str(), stdout);
-  if (Opts.Json) {
-    std::string Path = csvPath(Opts, "BENCH_serve.json");
-    FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
-      if (Out)
-        std::fclose(Out);
-      std::fprintf(stderr, "pbt-bench serve: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-    std::fclose(Out);
-  }
+  if (Opts.Json && !writeJsonReport(Opts, "serve", "BENCH_serve.json", Json))
+    return 1;
   return AllMatch ? 0 : 1;
-}
-
-//===----------------------------------------------------------------------===//
-// trainbench
-//===----------------------------------------------------------------------===//
-
-int benchharness::runTrainBench(const DriverOptions &Opts) {
-  // Factory names only -- every timing pass constructs its own fresh
-  // program, so materialising a suite's programs up front (suiteFor)
-  // would generate every input vector once just to discard it.
-  std::vector<std::string> Names =
-      Opts.Only.empty() ? registry::BenchmarkRegistry::instance().names()
-                        : Opts.Only;
-  unsigned Repeat = std::max(1u, Opts.Repeat);
-
-  struct BenchRow {
-    std::string Name;
-    double Seconds = 1e300;
-    std::string Selected;
-    size_t ModelBytes = 0;
-  };
-  std::vector<BenchRow> Results;
-
-  for (const std::string &Name : Names) {
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get(Name);
-    BenchRow Row;
-    Row.Name = Name;
-    // Best-of passes; a fresh program per pass keeps the sort-kernel run
-    // memo cold, so the time is a from-scratch training run, not a
-    // warm-cache replay.
-    for (unsigned R = 0; R != Repeat; ++R) {
-      registry::ProgramPtr Program =
-          F.makeProgram(Opts.Scale, F.defaultProgramSeed());
-      core::PipelineOptions Opt = F.defaultOptions(Opts.Scale);
-      Opt.Pool = Opts.Pool;
-      support::WallTimer T;
-      core::TrainedSystem Sys = core::trainSystem(*Program, Opt);
-      Row.Seconds = std::min(Row.Seconds, T.elapsedSeconds());
-      if (R == 0) {
-        serialize::TrainedModel Model = serialize::makeModel(
-            Name, Opts.Scale, F.defaultProgramSeed(), *Program, std::move(Sys));
-        Row.ModelBytes = serialize::serializeModel(Model).size();
-        Row.Selected = Model.System.L2.SelectedName;
-      }
-    }
-    std::fprintf(stderr, "[trainbench] %-12s %.3fs  %zu bytes  %s\n",
-                 Name.c_str(), Row.Seconds, Row.ModelBytes,
-                 Row.Selected.c_str());
-    Results.push_back(std::move(Row));
-  }
-
-  bench::SortRunMemoStats Memo = bench::sortRunMemoStats();
-  std::string Json = std::string("{\n") +
-                     "  \"subcommand\": \"trainbench\",\n" +
-                     "  \"scale\": " + jsonNumber(Opts.Scale) + ",\n" +
-                     "  \"threads\": " +
-                     std::to_string(Opts.Pool ? Opts.Pool->numThreads() : 1) +
-                     ",\n" +
-                     "  \"repeat\": " + std::to_string(Repeat) + ",\n" +
-                     "  \"sort_run_memo\": {\"hits\": " +
-                     std::to_string(Memo.Hits) +
-                     ", \"misses\": " + std::to_string(Memo.Misses) + "},\n" +
-                     "  \"benchmarks\": [";
-  for (size_t I = 0; I != Results.size(); ++I) {
-    const BenchRow &Row = Results[I];
-    Json += std::string(I ? "," : "") + "\n    {\"benchmark\": \"" +
-            jsonString(Row.Name) + "\"" +
-            ", \"train_seconds\": " + jsonNumber(Row.Seconds) +
-            ", \"model_bytes\": " + std::to_string(Row.ModelBytes) +
-            ", \"selected_classifier\": \"" + jsonString(Row.Selected) +
-            "\"}";
-  }
-  Json += Results.empty() ? "]\n" : "\n  ]\n";
-  Json += "}\n";
-
-  std::fputs(Json.c_str(), stdout);
-  if (Opts.Json) {
-    std::string Path = csvPath(Opts, "BENCH_train.json");
-    FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
-      if (Out)
-        std::fclose(Out);
-      std::fprintf(stderr, "pbt-bench trainbench: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-    std::fclose(Out);
-  }
-  return 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1339,18 +1054,8 @@ int benchharness::runStream(const DriverOptions &Opts) {
   Json += "}\n";
 
   std::fputs(Json.c_str(), stdout);
-  if (Opts.Json) {
-    std::string Path = csvPath(Opts, "BENCH_stream.json");
-    FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
-      if (Out)
-        std::fclose(Out);
-      std::fprintf(stderr, "pbt-bench stream: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-    std::fclose(Out);
-  }
+  if (Opts.Json && !writeJsonReport(Opts, "stream", "BENCH_stream.json", Json))
+    return 1;
   return 0;
 }
 
@@ -1525,18 +1230,8 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
   Json += "}\n";
 
   std::fputs(Json.c_str(), stdout);
-  if (Opts.Json) {
-    std::string Path = csvPath(Opts, "BENCH_stream_mix.json");
-    FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
-      if (Out)
-        std::fclose(Out);
-      std::fprintf(stderr, "pbt-bench stream --mix: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-    std::fclose(Out);
-  }
+  if (Opts.Json && !writeJsonReport(Opts, "stream --mix", "BENCH_stream_mix.json", Json))
+    return 1;
   return Mismatches == 0 ? 0 : 1;
 }
 
@@ -1634,18 +1329,8 @@ int benchharness::runInteract(const DriverOptions &Opts) {
                "(PBT_BENCH_SCALE=%.2f):\n\n%s\n",
                Opts.Scale, Table.format().c_str());
   std::fputs(Json.c_str(), stdout);
-  if (Opts.Json) {
-    std::string Path = csvPath(Opts, "BENCH_interact.json");
-    FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
-      if (Out)
-        std::fclose(Out);
-      std::fprintf(stderr, "pbt-bench interact: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-    std::fclose(Out);
-  }
+  if (Opts.Json && !writeJsonReport(Opts, "interact", "BENCH_interact.json", Json))
+    return 1;
   return 0;
 }
 

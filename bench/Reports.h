@@ -56,9 +56,9 @@ struct DriverOptions {
   unsigned Batch = 256;
   /// `serve` only: wall-clock budget per measurement phase (--seconds).
   double Seconds = 1.0;
-  /// `serve`/`stream`/`kernels`: also write BENCH_<sub>.json into OutDir
-  /// (--json), the machine-readable perf-trajectory record CI uploads as
-  /// artifacts.
+  /// `serve`/`stream`/`interact`/`loadgen`/`rollout`/`fleet`/`kernels`:
+  /// also write BENCH_<sub>.json into OutDir (--json), the
+  /// machine-readable perf-trajectory record CI uploads as artifacts.
   bool Json = false;
   /// True when --scale was given explicitly (stream: overrides the
   /// model's recorded scale for the traffic universe).
@@ -120,11 +120,20 @@ struct DriverOptions {
   support::ThreadPool *Pool = nullptr;
 };
 
-/// JSON emission helpers shared by the report subcommands (serve, stream,
-/// trainbench, loadgen): a %.6g number and a string escaped for embedding
-/// in a JSON literal.
+/// JSON emission helpers shared by the report subcommands: a %.6g number
+/// and a string escaped for embedding in a JSON literal.
 std::string jsonNumber(double V);
 std::string jsonString(const std::string &S);
+
+/// OutDir/\p Name, or plain \p Name when OutDir is empty or ".": where
+/// every subcommand puts the files it writes.
+std::string outPath(const DriverOptions &Opts, const std::string &Name);
+
+/// Writes \p Json to outPath(\p Name). On a failed open, short write or
+/// failed close prints "pbt-bench <Sub>: cannot write '<path>'" to stderr
+/// and returns false.
+bool writeJsonReport(const DriverOptions &Opts, const char *Sub,
+                     const std::string &Name, const std::string &Json);
 
 /// Builds the suite the subcommand operates on (Only or the full suite).
 std::vector<registry::SuiteEntry> suiteFor(const DriverOptions &Opts);
@@ -156,20 +165,12 @@ int runTrain(const DriverOptions &Opts);
 /// per-input configuration decisions through a PredictionService.
 int runPredict(const DriverOptions &Opts);
 /// `serve`: the serving-throughput harness. Loads a model, compiles it,
-/// warms the feature memo, then measures the interpreted baseline, the
-/// compiled single-thread path, and the compiled batched path over the
-/// thread pool, reporting decisions/sec and p50/p99 batch latency as
+/// warms the feature memo, then measures the interpreted baseline and the
+/// compiled path (warm, cold, scalar vs SIMD lanes, classifier only), all
+/// on one thread, reporting decisions/sec and p50/p99 batch latency as
 /// machine-readable JSON (stdout; also OutDir/BENCH_serve.json with
 /// --json).
 int runServe(const DriverOptions &Opts);
-/// `trainbench`: the training-time report. For each suite entry it times
-/// `core::trainSystem` end to end, best-of `--repeat` passes on a fresh
-/// program each, and reports the serialized model size, the selected
-/// classifier and the sort-kernel run-memo hit counts. A timing record
-/// only: model bytes are pinned by the golden retrain tests and the
-/// perfbench train_suite fingerprints. JSON to stdout; also
-/// OutDir/BENCH_train.json with --json.
-int runTrainBench(const DriverOptions &Opts);
 /// `stream`: the nonstationary-traffic harness. Loads a model, replays a
 /// seeded mixture-schedule request stream (streams/WorkloadStream.h)
 /// against an AdaptiveService AND a frozen no-adaptation control of the

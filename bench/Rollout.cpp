@@ -94,7 +94,7 @@ int runRollout(const DriverOptions &Opts) {
   Base.System.Data.reset();
 
   // A fresh store per run: the harness owns the whole lifecycle.
-  std::string StoreDir = Opts.OutDir + "/rollout-store";
+  std::string StoreDir = outPath(Opts, "rollout-store");
   std::error_code EC;
   std::filesystem::remove_all(StoreDir, EC);
 
@@ -154,7 +154,7 @@ int runRollout(const DriverOptions &Opts) {
   FaultInjector &Inj = FaultInjector::instance();
   Inj.reset();
 
-  Series Publish, Canary, Promote, Recovery;
+  Series Publish, Canary, Promote, Rollback, Recovery;
   unsigned Promoted = 0, RolledBack = 0, FailedPublishes = 0;
   unsigned Crashes = 0, Recoveries = 0;
   std::map<std::string, unsigned> FaultsArmed;
@@ -222,11 +222,15 @@ int runRollout(const DriverOptions &Opts) {
     }
     Publish.add(Report.PublishSeconds);
     Canary.add(Report.CanarySeconds);
-    Promote.add(Report.PromoteSeconds);
-    if (Report.Promoted)
+    // PromoteSeconds times whichever verdict ran: the durable promote, or
+    // the rollback plus the canary's revert.
+    if (Report.Promoted) {
+      Promote.add(Report.PromoteSeconds);
       ++Promoted;
-    else
+    } else {
+      Rollback.add(Report.PromoteSeconds);
       ++RolledBack;
+    }
     checkGolden();
   }
   Inj.reset();
@@ -264,6 +268,7 @@ int runRollout(const DriverOptions &Opts) {
   J += "  \"publish\": " + Publish.json() + ",\n";
   J += "  \"canary\": " + Canary.json() + ",\n";
   J += "  \"promote\": " + Promote.json() + ",\n";
+  J += "  \"rollback\": " + Rollback.json() + ",\n";
   J += "  \"recovery\": " + Recovery.json() + ",\n";
   J += "  \"current_epoch\": " + std::to_string(Ctl->currentEpoch()) + ",\n";
   J += "  \"torn_reads_prevented\": " + std::to_string(TornPrevented) + ",\n";
@@ -271,18 +276,8 @@ int runRollout(const DriverOptions &Opts) {
   J += "}\n";
   std::fputs(J.c_str(), stdout);
 
-  if (Opts.Json) {
-    std::string Path = Opts.OutDir + "/BENCH_rollout.json";
-    if (FILE *Out = std::fopen(Path.c_str(), "w")) {
-      std::fputs(J.c_str(), Out);
-      std::fclose(Out);
-      std::fprintf(stderr, "[rollout] wrote %s\n", Path.c_str());
-    } else {
-      std::fprintf(stderr, "pbt-bench rollout: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-  }
+  if (Opts.Json && !writeJsonReport(Opts, "rollout", "BENCH_rollout.json", J))
+    return 1;
 
   if (GoldenMismatches != 0) {
     std::fprintf(stderr,

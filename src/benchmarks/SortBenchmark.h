@@ -35,7 +35,8 @@ namespace bench {
 
 /// Process-wide counters of the canonical-configuration run memo (see
 /// SortBenchmark.cpp): how many run() calls replayed a recorded outcome
-/// vs executed the kernels. Diagnostics for `pbt-bench trainbench`.
+/// vs executed the kernels. Read by the repository benchmark's traced
+/// layer sweep as `benchmarks.sort_memo_hit_frac`.
 struct SortRunMemoStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;

@@ -27,9 +27,11 @@
 /// each candidate.
 ///
 /// Threading contract: decide()/decideBatch()/serve() are driven by one
-/// serving thread; swapModel() may be called concurrently from
-/// any other thread. A batch reads the epoch pointer exactly once, so
-/// every decision inside one batch comes from the same epoch.
+/// serving thread and run entirely on it (a batch is never split across
+/// threads; only shadow retraining uses Options.Pool). swapModel() may be
+/// called concurrently from any other thread. A batch reads the epoch
+/// pointer exactly once, so every decision inside one batch comes from
+/// the same epoch.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -52,9 +52,8 @@ namespace runtime {
 
 class CompiledModel {
 public:
-  /// Reusable per-caller working memory: decideBatch gives each worker
-  /// shard its own Scratch so the hot path never allocates and never
-  /// shares mutable state across threads.
+  /// Reusable per-caller working memory, made once per service so the
+  /// hot path never allocates. One Scratch serves one thread at a time.
   struct Scratch {
     /// Bayes posterior accumulator (>= the class count).
     std::vector<double> LogPost;

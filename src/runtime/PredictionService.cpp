@@ -8,9 +8,7 @@
 
 #include "core/FeatureProbe.h"
 
-#include <algorithm>
 #include <cassert>
-#include <thread>
 
 using namespace pbt;
 using namespace pbt::runtime;
@@ -57,8 +55,8 @@ serialize::LoadStatus PredictionService::bind(const TunableProgram &P) {
     return Status;
   Program = &P;
   Bound = true;
-  // One slot per program input: batch shards index this concurrently, so
-  // it must never grow (or rehash) on the serving path.
+  // One slot per program input, so the serving path never grows (or
+  // rehashes) the memo.
   Memo.assign(P.numInputs(), MemoEntry());
   InterpMemo.clear();
   return serialize::LoadStatus::success();
@@ -170,9 +168,8 @@ PredictionService::Decision PredictionService::decideOneLevel(size_t Input) {
   return D;
 }
 
-void PredictionService::decideShard(const std::vector<size_t> &Inputs,
+void PredictionService::decideLanes(const std::vector<size_t> &Inputs,
                                     std::vector<Decision> &Out,
-                                    unsigned Shards, unsigned Shard,
                                     CompiledModel::Scratch &S) {
   const unsigned NumFlat = Index->numFlat();
   constexpr unsigned W = kLaneWidth;
@@ -243,8 +240,6 @@ void PredictionService::decideShard(const std::vector<size_t> &Inputs,
 
   for (size_t I = 0; I != Inputs.size(); ++I) {
     size_t Input = Inputs[I];
-    if (Input % Shards != Shard)
-      continue;
     assert(Input < Memo.size() && "input out of range");
     MemoEntry &E = Memo[Input];
     if (E.Decided[0] < 0) {
@@ -280,55 +275,17 @@ void PredictionService::decideShard(const std::vector<size_t> &Inputs,
 
 std::vector<PredictionService::Decision>
 PredictionService::decideBatch(const std::vector<size_t> &Inputs,
-                               support::ThreadPool *Pool) {
+                               support::ThreadPool *) {
   assert(ready() && "decideBatch() before a successful loadFile()+bind()");
   std::vector<Decision> Out(Inputs.size());
-  unsigned Shards = Pool ? std::max(1u, Pool->numThreads()) : 1u;
-  // Lane grouping never changes a decision (each lane element replays
-  // the scalar arithmetic independently), so lane serving composes with
-  // any shard count; single-input batches skip straight to scalar.
-  const bool UseLanes = LaneServing && Inputs.size() > 1;
-  // Never oversubscribe the host: sharding across more workers than
-  // hardware threads only adds wake/contend latency (they cannot run
-  // concurrently anyway). Decisions are shard-count invariant by
-  // design, so the clamp is unobservable except as throughput.
-  if (Shards > 1) {
-    // Queried once: hardware_concurrency is a sysconf call, far too
-    // slow for a per-batch hot path.
-    static const unsigned HW = std::thread::hardware_concurrency();
-    if (HW != 0 && HW < Shards)
-      Shards = HW;
-  }
-  if (Shards <= 1 || Inputs.size() <= 1) {
-    if (UseLanes) {
-      decideShard(Inputs, Out, /*Shards=*/1, /*Shard=*/0, MainScratch);
-    } else {
-      for (size_t I = 0; I != Inputs.size(); ++I)
-        Out[I] = decideCompiled(Inputs[I], false, MainScratch);
-    }
+  // Single-input batches skip straight to the scalar path.
+  if (LaneServing && Inputs.size() > 1) {
+    decideLanes(Inputs, Out, MainScratch);
   } else {
-    // Shard by input id, not by batch position: every occurrence of one
-    // input lands in the same shard, so its memo entry (and the order
-    // duplicates are served in) is owned by exactly one worker -- the
-    // lock-free invariant, and why decisions cannot depend on the shard
-    // count.
-    std::vector<CompiledModel::Scratch> Scratches;
-    Scratches.reserve(Shards);
-    for (unsigned S = 0; S != Shards; ++S)
-      Scratches.push_back(Compiled.makeScratch());
-    Pool->parallelFor(0, Shards, [&](size_t Shard) {
-      CompiledModel::Scratch &S = Scratches[Shard];
-      if (UseLanes) {
-        decideShard(Inputs, Out, Shards, static_cast<unsigned>(Shard), S);
-        return;
-      }
-      for (size_t I = 0; I != Inputs.size(); ++I)
-        if (Inputs[I] % Shards == Shard)
-          Out[I] = decideCompiled(Inputs[I], false, S);
-    });
+    for (size_t I = 0; I != Inputs.size(); ++I)
+      Out[I] = decideCompiled(Inputs[I], false, MainScratch);
   }
-  // Lifetime totals accumulate in batch order -- not shard completion
-  // order -- so Stats are deterministic for every thread count.
+  // Lifetime totals accumulate in batch order, as single calls would.
   for (const Decision &D : Out)
     recordTotals(D);
   return Out;

@@ -20,18 +20,17 @@
 /// (alongside service-lifetime totals) so a deployment can account for
 /// the overhead the paper's Figure 6 includes.
 ///
-/// decideBatch() serves many inputs per call, sharding them across a
-/// support::ThreadPool by input id: each memo entry is only ever touched
-/// by the shard that owns its input, so the feature-memo hot path needs
-/// no lock, and the decisions (landmarks *and* per-call costs) are
-/// bit-identical for every thread count -- including Pool == nullptr.
+/// decideBatch() serves many inputs per call on the calling thread,
+/// gathering them into SIMD lanes; its decisions (landmarks *and* per-call
+/// costs) are bit-identical to the same sequence of decide() calls. One
+/// decision costs well under a microsecond, far too little work to hand
+/// to worker threads, so no call uses any.
 ///
 /// The interpreted (polymorphic InputClassifier) path stays available
 /// through decideInterpreted() for parity checks and as the baseline the
 /// `pbt-bench serve` report measures the compiled path against.
 ///
-/// Single-input calls are not thread-safe; decideBatch is the one entry
-/// point that may use worker threads internally.
+/// No call is thread-safe: callers serialize access to one service.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +39,6 @@
 
 #include "runtime/CompiledModel.h"
 #include "serialize/ModelIO.h"
-#include "support/ThreadPool.h"
 
 #include <cstdint>
 #include <optional>
@@ -49,6 +47,10 @@
 #include <vector>
 
 namespace pbt {
+namespace support {
+class ThreadPool;
+} // namespace support
+
 namespace runtime {
 
 class PredictionService {
@@ -104,12 +106,12 @@ public:
   /// exposed so harnesses can compare methods online. Shares the memo.
   Decision decideOneLevel(size_t Input);
 
-  /// Batched serving: Out[i] answers Inputs[i]. With a pool, inputs are
-  /// sharded by input id across its workers (lock-free memo, see file
-  /// comment); without one (or with a 1-thread pool) the loop runs
-  /// inline. Decisions are identical for every thread count.
+  /// Batched serving on the calling thread: Out[i] answers Inputs[i],
+  /// exactly as decide(Inputs[0]), decide(Inputs[1]), ... would, lifetime
+  /// Stats included. The pool parameter is ignored; it stays so that
+  /// callers passing one (or nullptr) keep compiling.
   ///
-  /// When lane serving is enabled (the default), each shard gathers
+  /// When lane serving is enabled (the default), the call gathers
   /// lane-eligible inputs -- memo-complete ones, plus every input when
   /// the production classifier is the all-features one-level kind --
   /// into lanes of kLaneWidth inputs and classifies them through
@@ -119,7 +121,7 @@ public:
   /// extract exactly the features the scalar path would, in the same
   /// order.
   std::vector<Decision> decideBatch(const std::vector<size_t> &Inputs,
-                                    support::ThreadPool *Pool = nullptr);
+                                    support::ThreadPool * = nullptr);
 
   /// Turns lane-batched serving off/on; when off, decideBatch runs the
   /// scalar compiled path for every input. That scalar path is the
@@ -165,7 +167,7 @@ private:
   /// with the exact observable behaviour of re-classifying over memoized
   /// features (zero cost, zero extractions, Memoized = true). Entries
   /// are lazily sized on first touch; the vector itself is sized to the
-  /// bound program's input count so concurrent shards never rehash.
+  /// bound program's input count when the program is bound.
   struct MemoEntry {
     std::vector<double> Values;
     std::vector<char> Have;
@@ -185,13 +187,11 @@ private:
 
   Decision decideCompiled(size_t Input, bool OneLevelPath,
                           CompiledModel::Scratch &S);
-  /// Lane-batched serving of one shard of a batch: walks the positions
-  /// whose input id lands in \p Shard (of \p Shards) in batch order,
+  /// Lane-batched serving of a whole batch: walks it in batch order,
   /// queueing lane-eligible inputs into SIMD lanes and falling back to
   /// the scalar compiled path for the rest.
-  void decideShard(const std::vector<size_t> &Inputs,
-                   std::vector<Decision> &Out, unsigned Shards,
-                   unsigned Shard, CompiledModel::Scratch &S);
+  void decideLanes(const std::vector<size_t> &Inputs,
+                   std::vector<Decision> &Out, CompiledModel::Scratch &S);
   Decision decideInterpretedWith(const core::InputClassifier &Classifier,
                                  size_t Input);
   void recordTotals(const Decision &D);
@@ -205,7 +205,7 @@ private:
   std::optional<FeatureIndex> Index;
   std::vector<MemoEntry> Memo;
   std::unordered_map<size_t, InterpMemoEntry> InterpMemo;
-  /// Working memory for single-input calls (batch shards make their own).
+  /// Working memory for every compiled call, batched or not.
   CompiledModel::Scratch MainScratch;
   bool LaneServing = true;
   Stats Totals;

@@ -107,7 +107,7 @@ std::vector<unsigned> inProcessLandmarks(const std::vector<size_t> &Inputs) {
   EXPECT_TRUE(Service.bind(*P).Ok);
   std::vector<unsigned> Out;
   for (const runtime::PredictionService::Decision &D :
-       Service.decideBatch(Inputs, nullptr))
+       Service.decideBatch(Inputs))
     Out.push_back(D.Landmark);
   return Out;
 }

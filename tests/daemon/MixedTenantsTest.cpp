@@ -82,7 +82,7 @@ std::vector<unsigned> oracleLandmarks(const std::string &Name,
   EXPECT_TRUE(Service.bind(*P).Ok);
   std::vector<unsigned> Out;
   for (const runtime::PredictionService::Decision &D :
-       Service.decideBatch(Inputs, nullptr))
+       Service.decideBatch(Inputs))
     Out.push_back(D.Landmark);
   return Out;
 }

@@ -1,12 +1,11 @@
 //===- tests/golden/ServeParityTest.cpp --------------------------------------=//
 //
 // The serving-path half of the golden suite: for every committed golden
-// model, the compiled fast path, the interpreted reference path, the
-// batch API, and the batch API under 1/2/8 worker threads must all make
-// exactly the per-input choices recorded in <name>.choices.csv. This is
-// the pin behind the compiled subsystem's "bit-identical lowering" claim
-// and behind decideBatch's "decisions never depend on the shard count"
-// claim.
+// model, the compiled fast path, the interpreted reference path and the
+// batch API (with any pool, or none) must all make exactly the per-input
+// choices recorded in <name>.choices.csv. This is the pin behind the
+// compiled subsystem's "bit-identical lowering" claim and behind
+// decideBatch's "a batch is the same sequence of decide() calls" claim.
 //
 //===----------------------------------------------------------------------===//
 
@@ -101,16 +100,25 @@ TEST_P(ServeParityTest, BatchMatchesSingleDecisions) {
   std::string Name = GetParam();
   std::vector<std::pair<size_t, unsigned>> Expected =
       readChoices(goldenPath(Name + ".choices.csv"));
+  ASSERT_FALSE(Expected.empty());
+  // The golden inputs, then the same inputs again in reverse: the second
+  // half is all repeats, served from the memo in a different order.
+  std::vector<size_t> Inputs;
+  std::vector<unsigned> Golden;
+  for (const auto &[Input, Landmark] : Expected) {
+    Inputs.push_back(Input);
+    Golden.push_back(Landmark);
+  }
+  for (auto It = Expected.rbegin(); It != Expected.rend(); ++It) {
+    Inputs.push_back(It->first);
+    Golden.push_back(It->second);
+  }
 
   Loaded Single;
   loadGolden(Name, Single);
-  std::vector<size_t> Inputs;
   std::vector<runtime::PredictionService::Decision> PerCall;
-  for (const auto &[Input, Landmark] : Expected) {
-    Inputs.push_back(Input);
+  for (size_t Input : Inputs)
     PerCall.push_back(Single.Service.decide(Input));
-    ASSERT_EQ(PerCall.back().Landmark, Landmark);
-  }
 
   Loaded Batched;
   loadGolden(Name, Batched);
@@ -118,24 +126,30 @@ TEST_P(ServeParityTest, BatchMatchesSingleDecisions) {
       Batched.Service.decideBatch(Inputs);
   ASSERT_EQ(Batch.size(), PerCall.size());
   for (size_t I = 0; I != Batch.size(); ++I) {
-    EXPECT_EQ(Batch[I].Landmark, PerCall[I].Landmark) << "input " << Inputs[I];
+    EXPECT_EQ(Batch[I].Landmark, Golden[I])
+        << Name << " input " << Inputs[I] << " at batch position " << I;
+    EXPECT_EQ(PerCall[I].Landmark, Golden[I])
+        << Name << " input " << Inputs[I] << " at call " << I;
     EXPECT_DOUBLE_EQ(Batch[I].FeatureCost, PerCall[I].FeatureCost);
     EXPECT_EQ(Batch[I].FeaturesExtracted, PerCall[I].FeaturesExtracted);
     EXPECT_EQ(Batch[I].Memoized, PerCall[I].Memoized);
   }
   // Deterministic lifetime accounting: one batch == the same calls made
   // one at a time.
-  EXPECT_EQ(Batched.Service.stats().Calls, Single.Service.stats().Calls);
-  EXPECT_DOUBLE_EQ(Batched.Service.stats().FeatureCostPaid,
-                   Single.Service.stats().FeatureCostPaid);
+  const runtime::PredictionService::Stats &B = Batched.Service.stats();
+  const runtime::PredictionService::Stats &S = Single.Service.stats();
+  EXPECT_EQ(B.Calls, S.Calls);
+  EXPECT_EQ(B.MemoizedCalls, S.MemoizedCalls);
+  EXPECT_EQ(B.FeaturesExtracted, S.FeaturesExtracted);
+  EXPECT_DOUBLE_EQ(B.FeatureCostPaid, S.FeatureCostPaid);
 }
 
 TEST_P(ServeParityTest, ThreadCountInvariance) {
   std::string Name = GetParam();
   std::vector<std::pair<size_t, unsigned>> Expected =
       readChoices(goldenPath(Name + ".choices.csv"));
-  // Duplicated + reordered inputs: the batch also exercises the
-  // same-input-same-shard memo ownership rule.
+  // Duplicated + reordered inputs, so the second half is served from the
+  // memo.
   std::vector<size_t> Inputs;
   for (const auto &Choice : Expected)
     Inputs.push_back(Choice.first);
@@ -144,6 +158,7 @@ TEST_P(ServeParityTest, ThreadCountInvariance) {
   std::reverse(Inputs.begin() + static_cast<long>(Expected.size()),
                Inputs.end());
 
+  // Whatever pool a caller passes, the batch's decisions are the same.
   std::vector<std::vector<runtime::PredictionService::Decision>> Runs;
   for (unsigned Threads : {1u, 2u, 8u}) {
     support::ThreadPool Pool(Threads);

@@ -5,6 +5,10 @@
 # behavior emitted `"p50_batch_us": 0,` which downstream dashboards
 # averaged in as a real (impossibly fast) datapoint.
 #
+# The report's write failure is pinned too: with BENCH_serve.json
+# occupied by a directory, `serve --json` must exit nonzero and say
+# `cannot write`.
+#
 # Invoked by ctest (label: integration) with -DPBT_BENCH, -DGOLDEN_DIR
 # and -DWORK_DIR defined.
 
@@ -12,7 +16,7 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 
 execute_process(
   COMMAND ${PBT_BENCH} serve --model=${GOLDEN_DIR}/sort1.pbt
-          --seconds=0.01 --batch=16 --threads=2
+          --seconds=0.01 --batch=16
           --json --out-dir=${WORK_DIR}
   RESULT_VARIABLE SERVE_RESULT
   OUTPUT_VARIABLE SERVE_OUTPUT
@@ -42,3 +46,32 @@ foreach(bad "\"p50_batch_us\": 0," "\"p50_batch_us\": 0}"
       "BENCH_serve.json reports a zero percentile as a measurement (${bad}):\n${SERVE_JSON}")
   endif()
 endforeach()
+
+# Serving is single-threaded: no pooled phase or thread-count field.
+foreach(gone "_batched\"" "_threads\"" "\"threads\"")
+  string(FIND "${SERVE_JSON}" "${gone}" GONE_POS)
+  if(NOT GONE_POS EQUAL -1)
+    message(FATAL_ERROR "BENCH_serve.json still reports ${gone}:\n${SERVE_JSON}")
+  endif()
+endforeach()
+
+# Write failure: the report path is a directory, so opening it fails.
+set(BLOCKED_DIR ${WORK_DIR}/blocked)
+file(MAKE_DIRECTORY ${BLOCKED_DIR}/BENCH_serve.json)
+execute_process(
+  COMMAND ${PBT_BENCH} serve --model=${GOLDEN_DIR}/sort1.pbt
+          --seconds=0.01 --batch=16
+          --json --out-dir=${BLOCKED_DIR}
+  RESULT_VARIABLE BLOCKED_RESULT
+  OUTPUT_VARIABLE BLOCKED_STDOUT
+  ERROR_VARIABLE BLOCKED_STDERR
+  TIMEOUT 120)
+if(BLOCKED_RESULT EQUAL 0)
+  message(FATAL_ERROR
+    "pbt-bench serve --json exited 0 with an unwritable report:\n${BLOCKED_STDERR}")
+endif()
+string(FIND "${BLOCKED_STDERR}" "cannot write" CANNOT_POS)
+if(CANNOT_POS EQUAL -1)
+  message(FATAL_ERROR
+    "pbt-bench serve --json did not report the failed write:\n${BLOCKED_STDERR}")
+endif()
